@@ -19,7 +19,7 @@
 
    - `dune exec bench/main.exe -- hotloop`: runs the hot-loop
      optimisation on/off matrix (byte-class compression, literal
-     prefilter, 2-byte stride × iMFAnt/hybrid × every dataset),
+     prefilter × iMFAnt/hybrid × every dataset),
      prints the ablation table and writes BENCH_hotloop.json. Every
      cell must agree with the all-off baseline's match counts.
 
@@ -746,7 +746,7 @@ let write_engines_json rows =
   Printf.printf "wrote %s (%d rows)\n" path (List.length rows)
 
 (* BENCH_planner.json: one object with the planner comparison and the
-   eviction-policy churn ablation side by side — the machine-readable
+   cache churn ablation side by side — the machine-readable
    form of `bench planner`, committed at the repo root and checked by
    the CI planner gate. *)
 let write_planner_json feats prows crows =

@@ -37,17 +37,6 @@ let tuning_term () =
              required literal prefix of 2+ bytes, so this flag is a no-op \
              on rulesets where it never built.")
   in
-  let stride =
-    Arg.(
-      value
-      & opt (enum [ ("1", 1); ("2", 2) ]) Tuning.default.Tuning.stride
-      & info [ "stride" ] ~docv:"N"
-          ~doc:
-            "Bytes consumed per hybrid-engine step: $(b,2) (the default) \
-             steps through lazily built pair-class tables, $(b,1) falls \
-             back to plain byte-at-a-time stepping. Engines other than \
-             hybrid always step one byte.")
-  in
   let cache_size =
     (* Validated at parse time so a bad value is a usage error (exit
        124 with the cmdliner message), not a compile-time raise. *)
@@ -74,12 +63,11 @@ let tuning_term () =
                 plans hybrid) ignore it."
                Tuning.default.Tuning.cache_size))
   in
-  let apply no_prefilter stride cache_size =
+  let apply no_prefilter cache_size =
     let cur = Tuning.get () in
-    Tuning.set
-      { cur with Tuning.prefilter = not no_prefilter; stride; cache_size }
+    Tuning.set { cur with Tuning.prefilter = not no_prefilter; cache_size }
   in
-  Term.(const apply $ no_prefilter $ stride $ cache_size)
+  Term.(const apply $ no_prefilter $ cache_size)
 
 (* [resolve ~prog name] validates [name] against the registry.
    [Ok name] is resolvable (registered, or a well-formed faulty{..}:

@@ -58,9 +58,9 @@ let print_artifact path =
       let t = info.A.in_tuning in
       Printf.printf "artifact: version %d, %d bytes, %d MFSA(s)\n"
         info.A.in_version info.A.in_bytes info.A.in_mfsas;
-      Printf.printf "tuning: classes=%b prefilter=%b stride=%d cache=%d\n"
+      Printf.printf "tuning: classes=%b prefilter=%b cache=%d\n"
         t.Mfsa_engine.Tuning.classes t.Mfsa_engine.Tuning.prefilter
-        t.Mfsa_engine.Tuning.stride t.Mfsa_engine.Tuning.cache_size;
+        t.Mfsa_engine.Tuning.cache_size;
       Array.iteri
         (fun i rules ->
           Printf.printf

@@ -181,7 +181,9 @@ let meta_payload (tuning : Tuning.t) =
   let b = Buffer.create 8 in
   add_u8 b (if tuning.Tuning.classes then 1 else 0);
   add_u8 b (if tuning.Tuning.prefilter then 1 else 0);
-  add_u8 b tuning.Tuning.stride;
+  (* Reserved byte, once the hybrid stride. Written as 1 because
+     readers that still parse a stride reject values outside 1..2. *)
+  add_u8 b 1;
   add_u8 b 0;
   (* Version 2: the hybrid cache's base capacity. *)
   add_u32 b tuning.Tuning.cache_size;
@@ -438,6 +440,9 @@ let bools cur n =
 let parse_meta cur =
   let classes = u8 cur in
   let prefilter = u8 cur in
+  (* Reserved byte (once the hybrid stride): range-checked, since the
+     bytes are untrusted, then ignored — artifacts written with either
+     value load identically. *)
   let stride = u8 cur in
   let _reserved = u8 cur in
   if classes > 1 || prefilter > 1 || stride < 1 || stride > 2 then
@@ -449,7 +454,7 @@ let parse_meta cur =
     else Tuning.default.Tuning.cache_size
   in
   if cache_size < 1 then fail (Malformed "META: cache_size out of range");
-  { Tuning.classes = classes = 1; prefilter = prefilter = 1; stride; cache_size }
+  { Tuning.classes = classes = 1; prefilter = prefilter = 1; cache_size }
 
 let parse_auto cur =
   let n_states = u32 cur in

@@ -12,8 +12,8 @@
     re-derived, so artifact-capable engines
     ({!Mfsa_engine.Registry.table_capable_names}) come up in time
     proportional to the file size rather than to the compile
-    pipeline's cost. Lazy structures (the hybrid engine's pair-class
-    cache) stay lazy.
+    pipeline's cost. Lazy structures (the hybrid engine's
+    configuration cache) stay lazy.
 
     Linking this library installs the {!Mfsa_engine.Source} artifact
     loader hook, which is how [Registry.compile] resolves

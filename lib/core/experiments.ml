@@ -934,8 +934,8 @@ let engine_compare ?engines cfg =
 
 (* ------------------------------------------- Hot-loop ablation *)
 
-(* The on/off matrix of the three hot-loop optimisations (byte-class
-   compression, literal prefilter, 2-byte stride) over the merged
+(* The on/off matrix of the two hot-loop optimisations (byte-class
+   compression, literal prefilter) over the merged
    (M = all) automaton of every dataset, engines imfant and hybrid.
    Every cell's per-FSA match counts must equal the all-off baseline's
    — the matrix is first a correctness gate, then a perf artefact. *)
@@ -943,7 +943,7 @@ let engine_compare ?engines cfg =
 type hotloop_row = {
   hr_dataset : string;
   hr_engine : string;  (* "imfant" | "hybrid" *)
-  hr_config : string;  (* "base" | "classes" | "prefilter" | "stride2" | "all" *)
+  hr_config : string;  (* "base" | "classes" | "prefilter" | "all" *)
   hr_time : float;  (* seconds per pass *)
   hr_mbps : float;
   hr_matches : int;
@@ -960,15 +960,13 @@ let hotloop_configs =
       Mfsa_engine.Tuning.default with
       Mfsa_engine.Tuning.classes = false;
       prefilter = false;
-      stride = 1;
     }
   in
   [
     ("base", base);
     ("classes", { base with Mfsa_engine.Tuning.classes = true });
     ("prefilter", { base with Mfsa_engine.Tuning.prefilter = true });
-    ("stride2", { base with Mfsa_engine.Tuning.stride = 2 });
-    ("all", { base with Mfsa_engine.Tuning.classes = true; prefilter = true; stride = 2 });
+    ("all", { base with Mfsa_engine.Tuning.classes = true; prefilter = true });
   ]
 
 let hotloop_rows cfg =
@@ -1044,7 +1042,7 @@ let hotloop_report cfg rows =
   Buffer.add_string buf
     (header
        (Printf.sprintf
-          "Hot-loop ablation: classes / prefilter / stride2 on-off matrix \
+          "Hot-loop ablation: classes / prefilter on-off matrix \
            (%d KiB stream, %d reps)"
           cfg.stream_kb cfg.reps));
   Buffer.add_string buf
@@ -1098,14 +1096,13 @@ let hotloop cfg = hotloop_report cfg (hotloop_rows cfg)
      reference everywhere and land within 10% of the best concrete
      engine's throughput;
 
-   - the churn ablation: the hybrid engine under a deliberately tiny
-     configuration cache, incremental clock eviction against the old
-     flush-on-full policy, with iMFAnt as the cache-less floor. On
-     the churn-heavy dataset (DS9) the flush policy collapses —
-     every overflow throws the whole table away mid-stream — while
-     clock eviction keeps the resident working set and the adaptive
-     band grows the capacity; on cache-friendly datasets (BRO, PEN)
-     the two policies coincide because the cache never fills. *)
+   - the churn ablation: the hybrid engine at the default
+     configuration cache under incremental clock eviction, against an
+     unbounded cache and with iMFAnt as the cache-less floor. On the
+     churn-heavy dataset (DS9) clock eviction keeps the resident
+     working set and the adaptive band grows the capacity; on
+     cache-friendly datasets (BRO, PEN) the bounded and unbounded
+     rows coincide because the cache never fills. *)
 
 type planner_row = {
   pl_dataset : string;
@@ -1121,7 +1118,7 @@ type planner_row = {
 
 type churn_row = {
   cr_dataset : string;
-  cr_policy : string;  (* "clock" | "flush" | "imfant" *)
+  cr_policy : string;  (* "clock" | "unbounded" | "imfant" *)
   cr_cache_rows : int;  (* configured base capacity; 0 for imfant *)
   cr_time : float;
   cr_mbps : float;
@@ -1254,12 +1251,12 @@ let churn_rows cfg =
           cr_agree = true;
         }
       in
-      let policy_row (pname, cache_size, eviction) =
-        let hy = Hybrid.of_imfant ~cache_size ~eviction im in
+      let policy_row (pname, cache_size) =
+        let hy = Hybrid.of_imfant ~cache_size im in
         let per = Hybrid.count_per_fsa hy stream in
-        (* Cold-start adaptation counters: the warm-up pass is where a
-           clock cache grows toward the working set (and a flush cache
-           drops its table), so flushes/evictions/grows are read here,
+        (* Cold-start adaptation counters: the warm-up pass is where the
+           clock cache grows toward the working set, so
+           flushes/evictions/grows are read here,
            before the counter reset — a warm steady pass on a
            well-sized cache legitimately shows none. *)
         let warm = Hybrid.stats hy in
@@ -1293,11 +1290,7 @@ let churn_rows cfg =
       in
       im_row
       :: List.map policy_row
-           [
-             ("clock", churn_cache_rows, Hybrid.Clock);
-             ("flush", churn_cache_rows, Hybrid.Flush);
-             ("unbounded", 1 lsl 20, Hybrid.Clock);
-           ])
+           [ ("clock", churn_cache_rows); ("unbounded", 1 lsl 20) ])
     (contexts cfg)
 
 let planner_report cfg feats prows crows =
@@ -1361,8 +1354,8 @@ let planner_report cfg feats prows crows =
   Buffer.add_string buf
     (header
        (Printf.sprintf
-          "Churn ablation: hybrid at the default %d-row cache, clock vs \
-           flush eviction"
+          "Churn ablation: hybrid at the default %d-row cache vs an \
+           unbounded cache and iMFAnt"
           churn_cache_rows));
   Buffer.add_string buf
     (Report.table
@@ -1391,14 +1384,12 @@ let planner_report cfg feats prows crows =
           (fun r -> r.cr_dataset = ds_abbr && r.cr_policy = p)
           crows
       in
-      match (find "clock", find "flush", find "imfant") with
-      | Some c, Some f, Some i ->
+      match (find "clock", find "imfant") with
+      | Some c, Some i ->
           Buffer.add_string buf
             (Printf.sprintf
-               "churn %s: clock %.2fx over flush, %.2fx over imfant \
-                (evictions %d, flushes %d)\n"
+               "churn %s: clock %.2fx over imfant (evictions %d, flushes %d)\n"
                ds_abbr
-               (f.cr_time /. c.cr_time)
                (i.cr_time /. c.cr_time)
                c.cr_evictions c.cr_flushes)
       | _ -> ())

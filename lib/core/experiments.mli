@@ -126,8 +126,8 @@ type hotloop_row = {
   hr_engine : string;  (** ["imfant"] or ["hybrid"]. *)
   hr_config : string;
       (** Tuning configuration label: ["base"] (all optimisations
-          off), ["classes"], ["prefilter"], ["stride2"] (one knob
-          each), or ["all"]. *)
+          off), ["classes"], ["prefilter"] (one knob each), or
+          ["all"]. *)
   hr_time : float;  (** Seconds per pass over the stream. *)
   hr_mbps : float;  (** Stream megabytes per second. *)
   hr_matches : int;  (** Total match events on the stream. *)
@@ -188,10 +188,10 @@ type planner_row = {
 type churn_row = {
   cr_dataset : string;  (** Dataset abbreviation. *)
   cr_policy : string;
-      (** ["clock"] (incremental second-chance eviction), ["flush"]
-          (the pre-eviction drop-everything policy), ["unbounded"]
-          (a cache large enough never to fill — the working-set
-          reference), or ["imfant"] (the cache-less floor). *)
+      (** ["clock"] (the default-sized cache under incremental
+          second-chance eviction), ["unbounded"] (a cache large enough
+          never to fill — the working-set reference), or ["imfant"]
+          (the cache-less floor). *)
   cr_cache_rows : int;
       (** Configured base cache capacity in rows (0 for imfant). *)
   cr_time : float;  (** Seconds per pass over the stream. *)
@@ -201,8 +201,8 @@ type churn_row = {
           imfant). *)
   cr_flushes : int;
       (** Whole-table drops, cumulative over the cold warm-up pass
-          plus one steady pass — the warm-up is where a flush cache
-          drops its table. *)
+          plus one steady pass — 0 unless something demoted or
+          flushed the engine; the CI gate pins it there. *)
   cr_evictions : int;
       (** Single-row evictions, cumulative over warm-up plus one
           steady pass — under clock eviction a well-sized cache
@@ -234,15 +234,15 @@ val planner_rows : config -> planner_row list
     [BENCH_planner.json]. *)
 
 val churn_rows : config -> churn_row list
-(** The eviction-policy ablation: the hybrid engine at the default
-    configuration-cache size ([4096] rows), clock versus flush
-    eviction, with an unbounded-cache reference (the working-set
-    size) and iMFAnt as the cache-less floor — the ["churn"] array of
+(** The churn ablation: the hybrid engine at the default
+    configuration-cache size ([4096] rows) under clock eviction, with
+    an unbounded-cache reference (the working-set size) and iMFAnt as
+    the cache-less floor — the ["churn"] array of
     [BENCH_planner.json]. On rulesets whose working set overflows the
-    base cache (DS9, TCP, RG1) flush-on-full collapses mid-stream
-    while clock eviction grows the capacity under eviction pressure
-    and keeps the working set resident; on cache-friendly ones (BRO,
-    PEN) the cache never fills and the policies coincide. *)
+    base cache (DS9, TCP, RG1) clock eviction grows the capacity under
+    eviction pressure and keeps the working set resident; on
+    cache-friendly ones (BRO, PEN) the cache never fills and the
+    bounded and unbounded rows coincide. *)
 
 val planner_report :
   config ->
@@ -252,7 +252,7 @@ val planner_report :
   string
 (** Render precomputed planner features, comparison and churn rows
     (tables plus the geomean/min auto-vs-best and per-dataset
-    clock-vs-flush summary lines the CI gate greps). *)
+    clock-vs-imfant summary lines the CI gate greps). *)
 
 val planner : config -> string
 (** [planner_report] over {!planner_features}, {!planner_rows} and

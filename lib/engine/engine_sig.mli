@@ -111,8 +111,8 @@ module type S = sig
 
   val reset_counters : compiled -> unit
   (** Zero the cumulative counters {e only}, leaving warm state (the
-      hybrid's configuration cache, lazily built stride tables, the
-      adaptive capacity) in place. This is the measurement-window
+      hybrid's configuration cache and its adaptive capacity) in
+      place. This is the measurement-window
       reset: the benchmark harness calls it between repetitions so
       each rep's snapshot reflects steady-state behaviour, not the
       warm-up of earlier reps. For engines whose metrics expose no

@@ -3,13 +3,10 @@ module Bitset = Mfsa_util.Bitset
 
 type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
 
-type eviction = Clock | Flush
-
 type stats = {
   steps : int;
   hits : int;
   misses : int;
-  pair_hits : int;
   configs_interned : int;
   resident_configs : int;
   flushes : int;
@@ -61,21 +58,14 @@ module Tbl = Hashtbl.Make (Key)
    successor id and the FSAs matching on the edge, per class. -1 = not
    computed yet. Successor ids can go stale — clock eviction reuses
    slots in place — so every memoised id is paired with the mint stamp
-   the target slot carried when the entry was written ([next_stamp] /
-   [next2_stamp]); an entry is live iff the stored stamp still equals
-   the slot's current stamp. The pair tables ([next2]/[mid2]/[end2],
-   k*k cells) memoise two classes at once for the 2-stride loop; they
-   are allocated lazily on a row's first pair step, within a global
-   cell budget — rows past the budget simply take two single steps. *)
+   the target slot carried when the entry was written ([next_stamp]);
+   an entry is live iff the stored stamp still equals the slot's
+   current stamp. *)
 type row = {
   cfg : config;
   next : int array;
   next_stamp : int array;
   edge_matches : int array array;
-  mutable next2 : int array;
-  mutable next2_stamp : int array;
-  mutable mid2 : int array array;
-  mutable end2 : int array array;
 }
 
 let mk_row k cfg =
@@ -84,10 +74,6 @@ let mk_row k cfg =
     next = Array.make k (-1);
     next_stamp = Array.make k (-1);
     edge_matches = Array.make k [||];
-    next2 = [||];
-    next2_stamp = [||];
-    mid2 = [||];
-    end2 = [||];
   }
 
 (* Row 0 is the position-0 start configuration (inits include the
@@ -101,16 +87,11 @@ let start_id = 0
 
 let dead_id = 1
 
-(* Sentinel a session's [cur] takes while the engine is demoted: the
-   memo cache is bypassed, so there is no row id — the session's
-   explicit configuration is the whole handle. *)
+(* Sentinel a scan's [cur] takes while the engine is demoted and the
+   configuration is live: the memo cache is bypassed, so there is no
+   row id — the explicit configuration carried beside it is the whole
+   handle. *)
 let bypass_live = -2
-
-(* Pair tables only make sense on small class alphabets (k*k cells per
-   row), and their total footprint is capped engine-wide. *)
-let stride2_max_classes = 64
-
-let pair_cell_budget = 1 lsl 19
 
 (* Adaptive sizing bands: every [resize_window] steps the engine looks
    at the window's eviction pressure and hit rate. Sustained eviction
@@ -137,10 +118,8 @@ type t = {
   z : Mfsa.t;
   k : int;  (* byte-class count; rows and CSR are class-indexed *)
   class_of : bytes;
-  stride2 : bool;
   prefilter : Prefilter.t option;
   base_cache : int;  (* configured capacity; [cap] floats around it *)
-  policy : eviction;
   any_end_anchor : bool;
   init_all : Bitset.t array;
   init_unanch : Bitset.t array;
@@ -162,7 +141,7 @@ type t = {
   mutable free : int list;  (* slots freed by a shrink, reused first *)
   mutable n_free : int;
   mutable hand : int;  (* clock hand, sweeps slots [2, n_rows) *)
-  mutable cap : int;  (* live capacity in rows, adaptive under Clock *)
+  mutable cap : int;  (* live capacity in rows, adaptive *)
   mutable mint : int;
   mutable bypass : bool;
       (* Demoted: the memo cache is out of the loop and every step is
@@ -170,10 +149,8 @@ type t = {
          iMFAnt semantics with session state preserved. *)
   mutable last_edge : int array;
       (* Matches of the edge the latest [step] traversed. *)
-  mutable last_mid : int array;
-      (* Matches of the first edge of the latest [step2]. *)
-  mutable pair_cells : int;
-      (* Pair-table cells currently allocated, against the budget. *)
+  mutable last_cfg : config;
+      (* Successor configuration of the latest demoted [step]. *)
   (* Fallback scratch, allocated once per engine. *)
   acc_sets : Bitset.t array;
   acc_stamp : int array;
@@ -192,7 +169,6 @@ type t = {
   mutable steps : int;
   mutable hits : int;
   mutable misses : int;
-  mutable p_hits : int;
   mutable interned : int;
   mutable flushes : int;
   mutable evictions_c : int;
@@ -235,7 +211,7 @@ let seed t =
   ignore (add_row t empty_cfg ~register:true)
 (* dead *)
 
-let of_imfant ?cache_size ?(eviction = Clock) im =
+let of_imfant ?cache_size im =
   (* The wrapped engine recorded the tuning in force when it was
      compiled (or the one stored in the tables it was adopted from);
      reading it there — not the current global — keeps artifact-loaded
@@ -263,10 +239,8 @@ let of_imfant ?cache_size ?(eviction = Clock) im =
       z;
       k;
       class_of = Imfant.class_of im;
-      stride2 = tuning.Tuning.stride >= 2 && k <= stride2_max_classes;
       prefilter = Imfant.prefilter im;
       base_cache = cache_size;
-      policy = eviction;
       any_end_anchor = Array.exists Fun.id z.Mfsa.anchored_end;
       init_all;
       init_unanch;
@@ -286,8 +260,7 @@ let of_imfant ?cache_size ?(eviction = Clock) im =
       mint = 0;
       bypass = false;
       last_edge = [||];
-      last_mid = [||];
-      pair_cells = 0;
+      last_cfg = empty_cfg;
       acc_sets = Array.init n (fun _ -> Bitset.create nf);
       acc_stamp = Array.make n (-1);
       active_stamp = Array.make n (-1);
@@ -300,7 +273,6 @@ let of_imfant ?cache_size ?(eviction = Clock) im =
       steps = 0;
       hits = 0;
       misses = 0;
-      p_hits = 0;
       interned = 0;
       flushes = 0;
       evictions_c = 0;
@@ -316,13 +288,11 @@ let of_imfant ?cache_size ?(eviction = Clock) im =
   seed t;
   t
 
-let compile ?cache_size ?eviction z =
-  of_imfant ?cache_size ?eviction (Imfant.compile z)
+let compile ?cache_size z = of_imfant ?cache_size (Imfant.compile z)
 
-(* The pair-class stride tables and the configuration cache are
-   populated on demand, so adoption inherits them lazily for free. *)
-let of_tables ?cache_size ?eviction tb =
-  of_imfant ?cache_size ?eviction (Imfant.of_tables tb)
+(* The configuration cache is populated on demand, so adoption
+   inherits it lazily for free. *)
+let of_tables ?cache_size tb = of_imfant ?cache_size (Imfant.of_tables tb)
 
 let mfsa t = t.z
 
@@ -336,7 +306,6 @@ let flush t =
   t.free <- [];
   t.n_free <- 0;
   t.hand <- 2;
-  t.pair_cells <- 0;
   t.cap <- t.base_cache;
   seed t;
   t.epoch <- t.epoch + 1;
@@ -363,13 +332,11 @@ let clock_pick t =
   in
   sweep (2 * (t.n_rows - 2))
 
-(* Forget the row living in slot [v]: unregister its configuration
-   and return its pair cells to the budget. The slot is then either
-   reused in place ([install]) or parked on the free list. *)
+(* Forget the row living in slot [v]: unregister its configuration.
+   The slot is then either reused in place ([install]) or parked on
+   the free list. *)
 let evict t v =
-  let r = t.rows.(v) in
-  Tbl.remove t.tbl r.cfg;
-  if Array.length r.next2 > 0 then t.pair_cells <- t.pair_cells - (t.k * t.k);
+  Tbl.remove t.tbl t.rows.(v).cfg;
   t.evictions_c <- t.evictions_c + 1
 
 let install t v cfg =
@@ -429,12 +396,10 @@ let maybe_resize t =
     t.win_ev0 <- t.evictions_c
   end
 
-(* Find-or-create the row for [cfg]. Under [Clock] a full cache evicts
-   exactly one victim and reuses its slot in place — every other row,
-   and every session, survives. Under [Flush] a full cache drops the
-   whole table (the pre-eviction behaviour, kept for the equivalence
-   property and the ablation benches). The returned id is always
-   valid in the rows array the call leaves behind. *)
+(* Find-or-create the row for [cfg]. A full cache evicts exactly one
+   victim and reuses its slot in place — every other row, and every
+   session, survives. The returned id is always valid in the rows
+   array the call leaves behind. *)
 let intern_id t cfg =
   match Tbl.find_opt t.tbl cfg with
   | Some id ->
@@ -442,29 +407,24 @@ let intern_id t cfg =
       id
   | None -> (
       t.interned <- t.interned + 1;
-      match t.policy with
-      | Flush ->
-          if t.n_rows - 2 >= t.cap then flush t;
-          add_row t cfg ~register:true
-      | Clock ->
-          maybe_resize t;
-          (* The capacity bounds *live* rows, not allocated slots:
-             reusing a freed slot still adds a resident row, so it
-             goes through the same gate as growing the arrays —
-             otherwise free-list refills after a shrink would let the
-             occupancy silently climb past [cap] again. *)
-          if live_rows t < t.cap then (
-            match t.free with
-            | v :: rest ->
-                t.free <- rest;
-                t.n_free <- t.n_free - 1;
-                install t v cfg
-            | [] -> add_row t cfg ~register:true)
-          else begin
-            let v = clock_pick t in
-            evict t v;
+      maybe_resize t;
+      (* The capacity bounds *live* rows, not allocated slots: reusing
+         a freed slot still adds a resident row, so it goes through the
+         same gate as growing the arrays — otherwise free-list refills
+         after a shrink would let the occupancy silently climb past
+         [cap] again. *)
+      if live_rows t < t.cap then
+        match t.free with
+        | v :: rest ->
+            t.free <- rest;
+            t.n_free <- t.n_free - 1;
             install t v cfg
-          end)
+        | [] -> add_row t cfg ~register:true
+      else begin
+        let v = clock_pick t in
+        evict t v;
+        install t v cfg
+      end)
 
 (* The NFA step from one explicit configuration: Equations 4–6 over
    the active states' (and initial states') outgoing arcs for class
@@ -532,90 +492,55 @@ let fallback t cfg c ~at_start =
   in
   ({ c_states = states; c_sets = sets }, matches)
 
-(* Consume one class from configuration [cur]: memo lookup, or NFA
-   fallback + intern + memoize. Returns the successor id and leaves
-   the edge's match set in [t.last_edge].
+(* Consume one class from the scan state [cur] and return the
+   successor, leaving the edge's match set in [t.last_edge].
 
-   Staleness discipline: the memo hit requires the stored stamp to
-   still match the successor slot's stamp (eviction reuses slots in
-   place), and the memo write is skipped when the row we stepped from
-   is no longer the resident of [cur] — either because the intern
-   flushed the whole table (epoch moved; [t.rows.(cur)] may not even
-   be in bounds any more, so the epoch test comes first) or because
-   clock eviction picked this very row as the victim. *)
-let step t cur c =
+   Cached: [cur] is a row id — memo lookup, or NFA fallback + intern
+   + memoize. Staleness discipline: the memo hit requires the stored
+   stamp to still match the successor slot's stamp (eviction reuses
+   slots in place), and the memo write is skipped when clock eviction
+   picked the very row we stepped from as the victim.
+
+   Demoted: every step is the NFA fallback from the explicit
+   configuration [cfg] (only read when [cur = bypass_live]; the start
+   and dead ids stand for the empty configuration), counted as a miss
+   — there is no cache to hit. The successor is [dead_id] or
+   [bypass_live], with its configuration left in [t.last_cfg]. *)
+let step t cur cfg c =
   t.steps <- t.steps + 1;
-  let r = t.rows.(cur) in
-  let nxt = r.next.(c) in
-  if nxt >= 0 && r.next_stamp.(c) = t.stamps.(nxt) then begin
-    t.hits <- t.hits + 1;
-    Bytes.set t.refs nxt '\001';
-    t.last_edge <- r.edge_matches.(c);
-    nxt
+  if t.bypass then begin
+    t.misses <- t.misses + 1;
+    let src = if cur = bypass_live then cfg else empty_cfg in
+    let cfg', ms = fallback t src c ~at_start:(cur = start_id) in
+    t.last_edge <- ms;
+    t.last_cfg <- cfg';
+    if Array.length cfg'.c_states = 0 then dead_id else bypass_live
   end
   else begin
-    t.misses <- t.misses + 1;
-    let epoch0 = t.epoch in
-    let cfg', ms = fallback t r.cfg c ~at_start:(cur = start_id) in
-    let id = intern_id t cfg' in
-    if t.epoch = epoch0 && t.rows.(cur) == r then begin
-      r.next.(c) <- id;
-      r.next_stamp.(c) <- t.stamps.(id);
-      r.edge_matches.(c) <- ms
-    end;
-    t.last_edge <- ms;
-    id
+    let r = t.rows.(cur) in
+    let nxt = r.next.(c) in
+    if nxt >= 0 && r.next_stamp.(c) = t.stamps.(nxt) then begin
+      t.hits <- t.hits + 1;
+      Bytes.set t.refs nxt '\001';
+      t.last_edge <- r.edge_matches.(c);
+      nxt
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let cfg', ms = fallback t r.cfg c ~at_start:(cur = start_id) in
+      let id = intern_id t cfg' in
+      if t.rows.(cur) == r then begin
+        r.next.(c) <- id;
+        r.next_stamp.(c) <- t.stamps.(id);
+        r.edge_matches.(c) <- ms
+      end;
+      t.last_edge <- ms;
+      id
+    end
   end
 
-(* Consume two classes at once. On a pair-table hit this is one array
-   read instead of two row traversals; on a miss it decomposes into
-   two single steps and memoises the pair — under the same staleness
-   discipline as [step] (stamped successor, write only if the row
-   still owns its slot in the same epoch) and only below the pair-cell
-   budget. Leaves the first edge's matches in [t.last_mid] and the
-   second's in [t.last_edge]. *)
-let step2 t cur c1 c2 =
-  let r = t.rows.(cur) in
-  let k = t.k in
-  if Array.length r.next2 = 0 && t.pair_cells + (k * k) <= pair_cell_budget
-  then begin
-    r.next2 <- Array.make (k * k) (-1);
-    r.next2_stamp <- Array.make (k * k) (-1);
-    r.mid2 <- Array.make (k * k) [||];
-    r.end2 <- Array.make (k * k) [||];
-    t.pair_cells <- t.pair_cells + (k * k)
-  end;
-  let idx = (c1 * k) + c2 in
-  let fin2 = if Array.length r.next2 > 0 then r.next2.(idx) else -1 in
-  if fin2 >= 0 && r.next2_stamp.(idx) = t.stamps.(fin2) then begin
-    t.steps <- t.steps + 2;
-    t.hits <- t.hits + 2;
-    t.p_hits <- t.p_hits + 1;
-    Bytes.set t.refs fin2 '\001';
-    t.last_mid <- r.mid2.(idx);
-    t.last_edge <- r.end2.(idx);
-    fin2
-  end
-  else begin
-    let epoch0 = t.epoch in
-    let mid = step t cur c1 in
-    let mids = t.last_edge in
-    let fin = step t mid c2 in
-    let ends = t.last_edge in
-    if
-      t.epoch = epoch0
-      && t.rows.(cur) == r
-      && Array.length r.next2 > 0
-    then begin
-      r.next2.(idx) <- fin;
-      r.next2_stamp.(idx) <- t.stamps.(fin);
-      r.mid2.(idx) <- mids;
-      r.end2.(idx) <- ends
-    end;
-    t.last_mid <- mids;
-    t.last_edge <- ends;
-    fin
-  end
+(* The configuration a scan state names. *)
+let cfg_of t cur cfg = if cur = bypass_live then cfg else t.rows.(cur).cfg
 
 (* ------------------------------------------------------- Demotion *)
 
@@ -637,131 +562,21 @@ let promote t = t.bypass <- false
 
 let demoted t = t.bypass
 
-(* One bypass step: explicit configuration in, explicit configuration
-   out. Counted as a miss — there is no cache to hit. *)
-let bypass_step t cfg c ~at_start =
-  t.steps <- t.steps + 1;
-  t.misses <- t.misses + 1;
-  fallback t cfg c ~at_start
-
 (* ------------------------------------------------------ Execution *)
 
-let execute_bypass t input ~on_match =
-  let z = t.z in
-  let len = String.length input in
-  let class_of = t.class_of in
-  let cls i =
-    Char.code (Bytes.unsafe_get class_of (Char.code (String.unsafe_get input i)))
-  in
-  let emit ms pos =
-    let n = Array.length ms in
-    for j = 0 to n - 1 do
-      let f = ms.(j) in
-      if (not t.any_end_anchor)
-         || (not z.Mfsa.anchored_end.(f))
-         || pos = len
-      then on_match f pos
-    done
-  in
-  let cands =
-    match t.prefilter with Some p -> Prefilter.candidates p input | None -> [||]
-  in
-  let use_pf = t.prefilter <> None in
-  let nc = Array.length cands in
-  let ci = ref 0 in
-  let cfg = ref empty_cfg in
-  let dead = ref false in
-  let i = ref 0 in
-  while !i < len do
-    if use_pf && !dead then begin
-      while !ci < nc && cands.(!ci) < !i do incr ci done;
-      let target = if !ci < nc then cands.(!ci) else len in
-      if target > !i then begin
-        t.skipped <- t.skipped + (target - !i);
-        i := target
-      end
-    end;
-    if !i < len then begin
-      let cfg', ms = bypass_step t !cfg (cls !i) ~at_start:(!i = 0) in
-      cfg := cfg';
-      dead := Array.length cfg'.c_states = 0;
-      emit ms (!i + 1);
-      incr i
-    end
-  done
-
-let execute t input ~on_match =
-  if t.bypass then execute_bypass t input ~on_match
-  else begin
-    let z = t.z in
-    let len = String.length input in
-    let class_of = t.class_of in
-    let cls i =
-      Char.code
-        (Bytes.unsafe_get class_of (Char.code (String.unsafe_get input i)))
-    in
-    let emit ms pos =
-      let n = Array.length ms in
-      if n > 0 then
-        if not t.any_end_anchor then
-          for j = 0 to n - 1 do
-            on_match ms.(j) pos
-          done
-        else
-          for j = 0 to n - 1 do
-            let f = ms.(j) in
-            if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
-          done
-    in
-    let cands =
-      match t.prefilter with
-      | Some p -> Prefilter.candidates p input
-      | None -> [||]
-    in
-    let use_pf = t.prefilter <> None in
-    let nc = Array.length cands in
-    let ci = ref 0 in
-    let cur = ref start_id in
-    let i = ref 0 in
-    while !i < len do
-      (* The dead configuration only leaves through injection, and with
-         a prefilter injection can only succeed at literal-candidate
-         offsets: everything up to the next candidate is a no-op. *)
-      if use_pf && !cur = dead_id then begin
-        while !ci < nc && cands.(!ci) < !i do incr ci done;
-        let target = if !ci < nc then cands.(!ci) else len in
-        if target > !i then begin
-          t.skipped <- t.skipped + (target - !i);
-          i := target
-        end
-      end;
-      if !i < len then
-        if t.stride2 && !i + 1 < len then begin
-          let c1 = cls !i and c2 = cls (!i + 1) in
-          cur := step2 t !cur c1 c2;
-          emit t.last_mid (!i + 1);
-          emit t.last_edge (!i + 2);
-          i := !i + 2
-        end
-        else begin
-          cur := step t !cur (cls !i);
-          emit t.last_edge (!i + 1);
-          incr i
-        end
-    done
-  end
-
-(* Chunk-local pass for the SFA decomposition (lib/engine/sfa):
-   [execute] restricted to input.[start..stop-1], starting from the
-   position-0 configuration when the chunk owns global position 0 and
-   from the dead configuration otherwise — exactly the thread set the
+(* The one batch scan, over input.[start..stop-1]: [run]/[count]/
+   [count_per_fsa] scan the whole input, and the SFA decomposition
+   (lib/engine/sfa) scans one chunk at a time. A scan starts from the
+   position-0 configuration when it owns global position 0 and from
+   the dead configuration otherwise — exactly the thread set the
    sequential run would build from injections inside the window.
    Prefilter candidates come from the window extended by max_len - 1
    bytes, so a literal straddling the chunk end still injects at its
-   in-chunk start. Returns the carry-out configuration after the last
-   chunk byte as explicit arrays (the interned row's hash-consed
-   bitsets, immutable once built — safe to read from the joining
-   domain). *)
+   in-chunk start (a whole-input scan hands the input itself to the
+   literal scanner, no copy). Returns the carry-out configuration
+   after the last byte as explicit arrays (the interned row's
+   hash-consed bitsets, immutable once built — safe to read from the
+   joining domain). *)
 let run_chunk t input ~start ~stop ~on_match =
   let z = t.z in
   let len = String.length input in
@@ -783,75 +598,46 @@ let run_chunk t input ~start ~stop ~on_match =
           if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
         done
   in
-  let use_pf = t.prefilter <> None in
+  (* Window-relative offsets; the skip clamps them to [stop]. *)
   let cands =
-    if use_pf then begin
-      let p = Option.get t.prefilter in
-      let wstop = min len (stop + Prefilter.max_len p - 1) in
-      let wcands =
-        Prefilter.candidates p (String.sub input start (wstop - start))
-      in
-      let acc = ref [] in
-      for j = Array.length wcands - 1 downto 0 do
-        if start + wcands.(j) < stop then acc := (start + wcands.(j)) :: !acc
-      done;
-      Array.of_list !acc
-    end
-    else [||]
+    match t.prefilter with
+    | None -> [||]
+    | Some p ->
+        let wstop = min len (stop + Prefilter.max_len p - 1) in
+        Prefilter.candidates p
+          (if start = 0 && wstop = len then input
+           else String.sub input start (wstop - start))
   in
+  let use_pf = t.prefilter <> None in
   let nc = Array.length cands in
   let ci = ref 0 in
+  let cur = ref (if start = 0 then start_id else dead_id) in
+  let cfg = ref empty_cfg in
   let i = ref start in
-  if t.bypass then begin
-    let cfg = ref empty_cfg in
-    let dead = ref (start > 0) in
-    while !i < stop do
-      if use_pf && !dead then begin
-        while !ci < nc && cands.(!ci) < !i do incr ci done;
-        let target = if !ci < nc then cands.(!ci) else stop in
-        if target > !i then begin
-          t.skipped <- t.skipped + (target - !i);
-          i := target
-        end
-      end;
-      if !i < stop then begin
-        let cfg', ms = bypass_step t !cfg (cls !i) ~at_start:(!i = 0) in
-        cfg := cfg';
-        dead := Array.length cfg'.c_states = 0;
-        emit ms (!i + 1);
-        incr i
+  while !i < stop do
+    (* The dead configuration only leaves through injection, and with
+       a prefilter injection can only succeed at literal-candidate
+       offsets: everything up to the next candidate is a no-op. *)
+    if use_pf && !cur = dead_id then begin
+      while !ci < nc && start + cands.(!ci) < !i do incr ci done;
+      let target = if !ci < nc then min stop (start + cands.(!ci)) else stop in
+      if target > !i then begin
+        t.skipped <- t.skipped + (target - !i);
+        i := target
       end
-    done;
-    ((!cfg.c_states, !cfg.c_sets) : Imfant.carry)
-  end
-  else begin
-    let cur = ref (if start = 0 then start_id else dead_id) in
-    while !i < stop do
-      if use_pf && !cur = dead_id then begin
-        while !ci < nc && cands.(!ci) < !i do incr ci done;
-        let target = if !ci < nc then cands.(!ci) else stop in
-        if target > !i then begin
-          t.skipped <- t.skipped + (target - !i);
-          i := target
-        end
-      end;
-      if !i < stop then
-        if t.stride2 && !i + 1 < stop then begin
-          let c1 = cls !i and c2 = cls (!i + 1) in
-          cur := step2 t !cur c1 c2;
-          emit t.last_mid (!i + 1);
-          emit t.last_edge (!i + 2);
-          i := !i + 2
-        end
-        else begin
-          cur := step t !cur (cls !i);
-          emit t.last_edge (!i + 1);
-          incr i
-        end
-    done;
-    let cfg = t.rows.(!cur).cfg in
-    ((cfg.c_states, cfg.c_sets) : Imfant.carry)
-  end
+    end;
+    if !i < stop then begin
+      cur := step t !cur !cfg (cls !i);
+      if !cur = bypass_live then cfg := t.last_cfg;
+      emit t.last_edge (!i + 1);
+      incr i
+    end
+  done;
+  let c = cfg_of t !cur !cfg in
+  ((c.c_states, c.c_sets) : Imfant.carry)
+
+let execute t input ~on_match =
+  ignore (run_chunk t input ~start:0 ~stop:(String.length input) ~on_match)
 
 let run t input =
   let acc = ref [] in
@@ -895,8 +681,6 @@ let stats t =
       Array.iter
         (fun ms -> bytes := !bytes + (word_bytes * Array.length ms))
         r.edge_matches;
-      if Array.length r.next2 > 0 then
-        bytes := !bytes + (word_bytes * 4 * t.k * t.k);
       bytes := !bytes + (word_bytes * Array.length r.cfg.c_states);
       bytes := !bytes + (bitset_bytes * Array.length r.cfg.c_sets)
     end
@@ -905,7 +689,6 @@ let stats t =
     steps = t.steps;
     hits = t.hits;
     misses = t.misses;
-    pair_hits = t.p_hits;
     configs_interned = t.interned;
     resident_configs = t.n_rows - t.n_free;
     flushes = t.flushes;
@@ -922,7 +705,6 @@ let reset_stats t =
   t.steps <- 0;
   t.hits <- 0;
   t.misses <- 0;
-  t.p_hits <- 0;
   t.interned <- 0;
   t.flushes <- 0;
   t.evictions_c <- 0;
@@ -994,8 +776,8 @@ let position s = s.pos
    engine. Re-validate before touching [t.rows]: the epoch test comes
    first (after a flush [s.cur] may be out of bounds for the fresh
    stamps array), then the per-slot stamp detects in-place eviction.
-   The re-intern may itself evict or flush; the id it returns is
-   always valid in the rows array it leaves behind. *)
+   The re-intern may itself evict; the id it returns is always valid
+   in the rows array it leaves behind. *)
 let revalidate s =
   let t = s.eng in
   if t.bypass then begin
@@ -1019,15 +801,26 @@ let revalidate s =
     s.stamp <- t.stamps.(s.cur)
   end
 
-let feed_bypass s chunk =
+(* The one session loop, cached or demoted alike: [step] dispatches on
+   the engine mode, and the session carries its configuration beside
+   the id so it can cross a demotion or promotion between feeds. *)
+let feed s chunk =
   let t = s.eng in
+  revalidate s;
   let z = t.z in
   let len = String.length chunk in
   let class_of = t.class_of in
   let cls i =
-    Char.code (Bytes.unsafe_get class_of (Char.code (String.unsafe_get chunk i)))
+    Char.code
+      (Bytes.unsafe_get class_of (Char.code (String.unsafe_get chunk i)))
   in
   let acc = ref [] in
+  (* Streaming prefilter: scan the chunk (updating the carried scanner
+     state), then skip dead stretches up to the next in-chunk candidate
+     — but never into the final [max_len - 1] bytes, where a literal
+     straddling into the next chunk could still start; the engine keeps
+     injection-at-every-byte semantics, so processing those tail bytes
+     natively is all the straddle case needs. *)
   let use_pf = t.prefilter <> None in
   let cands, limit =
     match t.prefilter with
@@ -1039,131 +832,43 @@ let feed_bypass s chunk =
   in
   let nc = Array.length cands in
   let ci = ref 0 in
+  let base = s.pos in
+  let cur = ref s.cur and cfg = ref s.cur_cfg in
   let i = ref 0 in
   while !i < len do
-    if use_pf && s.cur = dead_id then begin
+    if use_pf && !cur = dead_id then begin
       while !ci < nc && cands.(!ci) < !i do incr ci done;
       let stop = if !ci < nc then min cands.(!ci) limit else limit in
       if stop > !i then begin
         t.skipped <- t.skipped + (stop - !i);
-        s.pos <- s.pos + (stop - !i);
         s.pending_end <- [];
         i := stop
       end
     end;
     if !i < len then begin
+      (* Any continuation invalidates matches that were waiting for
+         end-of-stream. *)
       s.pending_end <- [];
-      let at_start = s.cur = start_id in
-      let cfg =
-        if s.cur = start_id || s.cur = dead_id then empty_cfg else s.cur_cfg
-      in
-      let cfg', ms = bypass_step t cfg (cls !i) ~at_start in
+      cur := step t !cur !cfg (cls !i);
+      if !cur = bypass_live then cfg := t.last_cfg;
+      let ms = t.last_edge in
       for j = 0 to Array.length ms - 1 do
         let f = ms.(j) in
         if z.Mfsa.anchored_end.(f) then s.pending_end <- f :: s.pending_end
-        else acc := { fsa = f; end_pos = s.pos + 1 } :: !acc
+        else acc := { fsa = f; end_pos = base + !i + 1 } :: !acc
       done;
-      s.cur_cfg <- cfg';
-      s.cur <-
-        (if Array.length cfg'.c_states = 0 then dead_id else bypass_live);
-      s.pos <- s.pos + 1;
       incr i
     end
   done;
+  s.pos <- base + len;
+  s.cur <- !cur;
+  s.cur_cfg <- cfg_of t !cur !cfg;
+  (* A miss inside this chunk may have evicted; the id we hold was
+     minted (or revalidated) afterwards, so resync the epoch and the
+     slot stamp rather than re-intern. *)
   s.epoch <- t.epoch;
+  if !cur >= 0 then s.stamp <- t.stamps.(!cur);
   List.rev !acc
-
-let feed s chunk =
-  let t = s.eng in
-  revalidate s;
-  if t.bypass then feed_bypass s chunk
-  else begin
-    let z = t.z in
-    let len = String.length chunk in
-    let class_of = t.class_of in
-    let cls i =
-      Char.code
-        (Bytes.unsafe_get class_of (Char.code (String.unsafe_get chunk i)))
-    in
-    let acc = ref [] in
-    (* Streaming prefilter: scan the chunk (updating the carried
-       scanner state), then skip dead stretches up to the next in-chunk
-       candidate — but never into the final [max_len - 1] bytes, where
-       a literal straddling into the next chunk could still start; the
-       engine keeps injection-at-every-byte semantics, so processing
-       those tail bytes natively is all the straddle case needs. *)
-    let use_pf = t.prefilter <> None in
-    let cands, limit =
-      match t.prefilter with
-      | None -> ([||], 0)
-      | Some p ->
-          let c, st = Prefilter.scan_chunk p ~state:s.ac_state chunk in
-          s.ac_state <- st;
-          (c, len - (Prefilter.max_len p - 1))
-    in
-    let nc = Array.length cands in
-    let ci = ref 0 in
-    let i = ref 0 in
-    while !i < len do
-      if use_pf && s.cur = dead_id then begin
-        while !ci < nc && cands.(!ci) < !i do incr ci done;
-        let stop = if !ci < nc then min cands.(!ci) limit else limit in
-        if stop > !i then begin
-          t.skipped <- t.skipped + (stop - !i);
-          s.pos <- s.pos + (stop - !i);
-          s.pending_end <- [];
-          i := stop
-        end
-      end;
-      if !i < len then begin
-        (* Any continuation invalidates matches that were waiting for
-           end-of-stream. *)
-        s.pending_end <- [];
-        if t.stride2 && !i + 1 < len then begin
-          let nxt = step2 t s.cur (cls !i) (cls (!i + 1)) in
-          let mids = t.last_mid in
-          for j = 0 to Array.length mids - 1 do
-            let f = mids.(j) in
-            (* An end-anchored match at the pair's first byte is
-               immediately invalidated by its second. *)
-            if not z.Mfsa.anchored_end.(f) then
-              acc := { fsa = f; end_pos = s.pos + 1 } :: !acc
-          done;
-          let ends = t.last_edge in
-          for j = 0 to Array.length ends - 1 do
-            let f = ends.(j) in
-            if z.Mfsa.anchored_end.(f) then
-              s.pending_end <- f :: s.pending_end
-            else acc := { fsa = f; end_pos = s.pos + 2 } :: !acc
-          done;
-          s.cur <- nxt;
-          s.cur_cfg <- t.rows.(nxt).cfg;
-          s.pos <- s.pos + 2;
-          i := !i + 2
-        end
-        else begin
-          let nxt = step t s.cur (cls !i) in
-          let ms = t.last_edge in
-          for j = 0 to Array.length ms - 1 do
-            let f = ms.(j) in
-            if z.Mfsa.anchored_end.(f) then
-              s.pending_end <- f :: s.pending_end
-            else acc := { fsa = f; end_pos = s.pos + 1 } :: !acc
-          done;
-          s.cur <- nxt;
-          s.cur_cfg <- t.rows.(nxt).cfg;
-          s.pos <- s.pos + 1;
-          incr i
-        end
-      end
-    done;
-    (* A miss inside this chunk may have flushed or evicted; the id we
-       hold was minted (or revalidated) afterwards, so resync the
-       epoch and the slot stamp rather than re-intern. *)
-    s.epoch <- t.epoch;
-    s.stamp <- t.stamps.(s.cur);
-    List.rev !acc
-  end
 
 let finish s =
   List.sort Int.compare s.pending_end

@@ -18,17 +18,17 @@
     The fallback walks only the {e active} states' outgoing arcs
     through the CSR layout of {!Imfant.csr} — O(active arcs), not
     O(byte-enabled transitions) — so even a cold cache tracks the
-    input's real activity. The cache is bounded, and under the default
-    {!eviction} policy ({!Clock}) a full cache evicts exactly {e one}
-    configuration — second-chance over the memo rows, reusing the
-    victim's slot in place — instead of dropping the whole table; the
-    capacity additionally adapts to observed eviction pressure,
-    growing up to 8x the configured size while the working set keeps
-    displacing itself and shrinking back only when the cache runs hot
-    with at most half its capacity occupied (so a shrink never evicts
-    a resident working set). The pre-eviction behaviour (drop everything and
-    rebuild — RE2's policy) is kept as {!Flush}, for ablation and for
-    the equivalence tests. Rulesets whose configuration space churns
+    input's real activity. The cache is bounded: a full cache evicts
+    exactly {e one} configuration — second-chance (clock) over the
+    memo rows, reusing the victim's slot in place — instead of
+    dropping the whole table. Memoised successor ids are validated
+    with per-slot mint stamps, so a stale pointer into a reused slot
+    reads as a miss, never as a wrong answer. The capacity
+    additionally adapts to observed eviction pressure, growing up to
+    8x the configured size while the working set keeps displacing
+    itself and shrinking back only when the cache runs hot with at
+    most half its capacity occupied (so a shrink never evicts a
+    resident working set). Rulesets whose configuration space churns
     faster than even the grown cache can hold degrade to pure NFA
     simulation plus hashing overhead; {!stats} makes that visible, and
     {!demote} (the [auto:] planner's escape hatch) turns the engine
@@ -47,25 +47,10 @@ type t
 
 type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
 
-type eviction =
-  | Clock
-      (** Incremental second-chance eviction: a full cache picks one
-          victim row (unreferenced since the hand last passed) and
-          reuses its slot. Memoised successor ids are validated with
-          per-slot mint stamps, so a stale pointer into a reused slot
-          reads as a miss, never as a wrong answer. Default. *)
-  | Flush
-      (** Drop the whole table when full and rebuild from the current
-          configuration — the pre-eviction policy, kept for ablations
-          and equivalence tests. *)
-
 type stats = {
   steps : int;  (** Input bytes processed since compile. *)
   hits : int;  (** Steps answered by the memo table alone. *)
   misses : int;  (** Steps that ran the NFA fallback. *)
-  pair_hits : int;
-      (** 2-byte strides answered by a pair-table cell (each also
-          counts as two steps and two hits). *)
   configs_interned : int;
       (** Configurations interned since compile, cumulative across
           flushes and evictions. *)
@@ -73,7 +58,8 @@ type stats = {
       (** Configurations currently interned (including the two
           built-ins: the position-0 start configuration and the dead
           configuration). *)
-  flushes : int;  (** Times the full cache was dropped. *)
+  flushes : int;
+      (** Times the full cache was dropped ({!flush}, {!demote}). *)
   evictions : int;
       (** Individual configurations evicted by the clock (victim
           selection on a full cache, plus rows freed by a shrink). *)
@@ -85,34 +71,31 @@ type stats = {
   shrinks : int;  (** Times the adaptive band halved the capacity. *)
   demotions : int;  (** Times {!demote} engaged the NFA bypass. *)
   cache_bytes : int;
-      (** Approximate resident cache footprint: memo rows, pair
-          tables, interned configurations and per-edge match lists. *)
+      (** Approximate resident cache footprint: memo rows, interned
+          configurations and per-edge match lists. *)
   skipped_bytes : int;
       (** Input bytes the literal prefilter let the engine jump over
           while in the dead configuration. *)
 }
 
-val compile : ?cache_size:int -> ?eviction:eviction -> Mfsa_model.Mfsa.t -> t
+val compile : ?cache_size:int -> Mfsa_model.Mfsa.t -> t
 (** [cache_size] bounds the number of {e dynamically} interned
     configurations; it defaults to the {!Tuning.t.cache_size} snapshot
     the wrapped {!Imfant} engine recorded at compile time (so
     [--cache-size] and artifact-stored values flow through without
-    every caller threading the parameter). [eviction] selects the
-    full-cache policy (default {!Clock}); correctness never depends on
-    either knob.
+    every caller threading the parameter). Correctness never depends
+    on it.
     @raise Invalid_argument if [cache_size < 1]. *)
 
-val of_imfant : ?cache_size:int -> ?eviction:eviction -> Imfant.t -> t
+val of_imfant : ?cache_size:int -> Imfant.t -> t
 (** Wrap an already compiled iMFAnt engine, sharing its tables. The
     wrapped engine's recorded {!Imfant.tuning} (not the current global
-    tuning) decides whether 2-byte striding is enabled and supplies
-    the default cache size. *)
+    tuning) supplies the default cache size. *)
 
-val of_tables : ?cache_size:int -> ?eviction:eviction -> Tables.t -> t
+val of_tables : ?cache_size:int -> Tables.t -> t
 (** [of_imfant] over {!Imfant.of_tables}: adopt a persisted table
-    bundle in O(size). The lazily built structures — the configuration
-    cache and the pair-class stride tables — start empty, exactly as
-    after {!compile}. *)
+    bundle in O(size). The configuration cache starts empty, exactly
+    as after {!compile}. *)
 
 val mfsa : t -> Mfsa_model.Mfsa.t
 

@@ -235,9 +235,6 @@ module Hybrid_engine : Engine_sig.S with type compiled = Hybrid.t = struct
         "mfsa_engine_demotions_total" s.Hybrid.demotions;
       Snapshot.gauge_i ~labels ~help:"Approximate cache footprint"
         "mfsa_engine_cache_bytes" s.Hybrid.cache_bytes;
-      Snapshot.counter_i ~labels
-        ~help:"2-byte strides answered by a pair-table cell"
-        "mfsa_engine_cache_pair_hits_total" s.Hybrid.pair_hits;
       Snapshot.gauge_i ~labels
         ~help:"Byte-equivalence classes indexing the transition tables"
         "mfsa_engine_class_count" (Hybrid.n_classes c);

@@ -1,14 +1,12 @@
-type t = { classes : bool; prefilter : bool; stride : int; cache_size : int }
+type t = { classes : bool; prefilter : bool; cache_size : int }
 
-let default = { classes = true; prefilter = true; stride = 2; cache_size = 4096 }
+let default = { classes = true; prefilter = true; cache_size = 4096 }
 
 let current = Atomic.make default
 
 let get () = Atomic.get current
 
 let check t =
-  if t.stride < 1 || t.stride > 2 then
-    invalid_arg "Tuning.set: stride must be 1 or 2";
   if t.cache_size < 1 then
     invalid_arg "Tuning.set: cache_size must be at least 1"
 

@@ -47,9 +47,9 @@ echo "== planner + eviction ablation (planner gate) =="
 # dataset (rows disagreeing are marked DIVERGED and the bench exits
 # non-zero), and the churn ablation must show the cache-collapse fix:
 # on DS9 — the ruleset whose configuration working set overflows the
-# default cache — the clock policy cycles single rows (evictions,
-# never a whole-table flush) and stays at least as fast as the
-# cache-less iMFAnt floor, where flush-on-full used to collapse.
+# default cache — clock eviction cycles single rows (evictions, never
+# a whole-table flush) and stays at least as fast as the cache-less
+# iMFAnt floor.
 out=$(MFSA_SCALE="${MFSA_SCALE:-0.1}" MFSA_STREAM_KB="${MFSA_STREAM_KB:-32}" \
   MFSA_REPS="${MFSA_REPS:-2}" dune exec bench/main.exe -- planner)
 printf '%s\n' "$out"

@@ -180,15 +180,21 @@ let test_capability_gate () =
 (* ---------------------------------------------------------- fixture *)
 
 (* test/fixtures/artifact_v1.mfsa is a committed version-1 artifact of
-   the three-rule CLI-walkthrough ruleset. A format change that cannot
+   the three-rule CLI-walkthrough ruleset, written when META's reserved
+   byte still carried a hybrid stride of 2. A format change that cannot
    read it any more must bump [Artifact.version] and consciously
-   handle (or reject) version 1 — this test is the tripwire. *)
+   handle (or reject) version 1 — this test is the tripwire. Every
+   table-loading engine must adopt it with the same counts. *)
 let fixture_path = "fixtures/artifact_v1.mfsa"
 
 let test_fixture_loads () =
   let loaded = Artifact.load fixture_path in
-  let engines = List.map (Registry.compile_tables_exn "imfant") loaded in
-  Alcotest.(check (list int)) "fixture counts" [ 4 ] (counts engines stream);
+  List.iter
+    (fun engine ->
+      let engines = List.map (Registry.compile_tables_exn engine) loaded in
+      Alcotest.(check (list int))
+        (engine ^ ": fixture counts") [ 4 ] (counts engines stream))
+    [ "imfant"; "hybrid"; "auto" ];
   let info = Artifact.describe fixture_path in
   Alcotest.(check int) "fixture version" 1 info.Artifact.in_version
 

@@ -1,6 +1,6 @@
-(* Hot-loop optimisation tests: byte-class compression, the literal
-   prefilter, 2-byte striding — each optimised engine must be
-   match-identical to its unoptimised self, batch and streaming. *)
+(* Hot-loop optimisation tests: byte-class compression and the literal
+   prefilter — each optimised engine must be match-identical to its
+   unoptimised self, batch and streaming. *)
 
 module P = Mfsa_frontend.Parser
 module Mfsa = Mfsa_model.Mfsa
@@ -27,7 +27,7 @@ let fsa_of src = fsa_of_rule (P.parse_exn src)
 let mfsa_of srcs = Merge.merge (Array.of_list (List.map fsa_of srcs))
 
 let baseline =
-  { Tuning.default with Tuning.classes = false; prefilter = false; stride = 1 }
+  { Tuning.default with Tuning.classes = false; prefilter = false }
 
 let event =
   Alcotest.testable
@@ -137,7 +137,7 @@ let engines_equal ?(msg = "") z input =
 
 let test_known_divergence_candidates () =
   (* Hand-picked shapes that stress each optimisation's edge cases:
-     odd input lengths (stride tail), literals at position 0 and at
+     odd input lengths, literals at position 0 and at
      the very end (prefilter boundaries), anchors, and overlapping
      literal owners. *)
   List.iter
@@ -175,8 +175,8 @@ let prop_optimised_equals_baseline =
               input (List.length base) (List.length opt))
         (Registry.general_names ()))
 
-(* Wide-alphabet rules: large class counts (possibly past the
-   stride-2 gate) and binary bytes through the partition map. *)
+(* Wide-alphabet rules: large class counts and binary bytes through
+   the partition map. *)
 let prop_wide_alphabet =
   QCheck2.Test.make ~count:60 ~name:"wide alphabet, full tuning = baseline"
     ~print:Gen_re.print_ruleset_input
@@ -217,7 +217,6 @@ let prop_each_knob_alone =
         [
           { baseline with Tuning.classes = true };
           { baseline with Tuning.prefilter = true };
-          { baseline with Tuning.stride = 2 };
         ])
 
 (* ------------------------------------------------------ Streaming *)
@@ -361,9 +360,9 @@ let test_ac_in_registry () =
 (* ------------------------------------------------------- Tuning *)
 
 let test_tuning_validation () =
-  (match Tuning.set { Tuning.default with Tuning.stride = 3 } with
+  (match Tuning.set { Tuning.default with Tuning.cache_size = 0 } with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "stride 3 accepted");
+  | () -> Alcotest.fail "cache_size 0 accepted");
   let before = Tuning.get () in
   (try
      Tuning.with_tuning baseline (fun () -> failwith "boom")

@@ -1,7 +1,7 @@
 (* Unit and property tests for the lazy-DFA hybrid engine: equivalence
-   with iMFAnt (whole-string and streaming), bounded-cache eviction
-   under both policies (incremental clock and legacy flush-on-full)
-   and the cache instrumentation. *)
+   with iMFAnt (whole-string, chunk-local and streaming), bounded-cache
+   clock eviction, demotion to NFA stepping and back, and the cache
+   instrumentation. *)
 
 module P = Mfsa_frontend.Parser
 module Mfsa = Mfsa_model.Mfsa
@@ -122,24 +122,6 @@ let test_tiny_cache_still_matches () =
   check Alcotest.bool "dynamic configs bounded" true
     (s.Hy.resident_configs <= 2 + 2)
 
-(* The pre-eviction drop-everything policy is kept for ablation: same
-   answers, but through whole-table flushes. *)
-let test_tiny_cache_flush_policy () =
-  let z = merge_rules [ "a+b"; "a(b|c)*d"; "[ab]{3}"; "ab$"; "^a" ] in
-  let input = "aabacbdabcabdaaabbbacd" in
-  let im = Im.compile z in
-  let hy = Hy.of_imfant ~cache_size:2 ~eviction:Hy.Flush im in
-  for _ = 1 to 3 do
-    check
-      Alcotest.(list (pair int int))
-      "flush policy equals imfant"
-      (sort (im_events (Im.run im input)))
-      (sort (hy_events (Hy.run hy input)))
-  done;
-  let s = Hy.stats hy in
-  check Alcotest.bool "flushes happened" true (s.Hy.flushes > 0);
-  check Alcotest.int "flush policy never evicts rows" 0 s.Hy.evictions
-
 let test_stats () =
   let z = merge_rules [ "abc" ] in
   let hy = Hy.compile z in
@@ -246,6 +228,40 @@ let test_concurrent_sessions_survive_flushes () =
   check Alcotest.bool "evictions happened" true
     ((Hy.stats hy).Hy.evictions > 0)
 
+(* A literal ruleset, so the prefilter skip runs in both modes: a
+   session demoted and promoted between chunks — mid-literal, in the
+   dead configuration, with an end-anchored match pending — reports
+   exactly iMFAnt's events, and a demoted [run] does too. *)
+let test_demote_promote_mid_stream () =
+  let z = merge_rules [ "hello"; "help"; "lo$" ] in
+  let im = Im.compile z in
+  let hy = Hy.of_imfant im in
+  check Alcotest.bool "prefilter is on" true (Im.prefilter im <> None);
+  let chunks = [ "xxhe"; "ll"; "oxxh"; "elpx"; "xhel"; "lo" ] in
+  let input = String.concat "" chunks in
+  let s = Hy.session hy in
+  let fed = ref [] in
+  List.iteri
+    (fun i c ->
+      if i mod 2 = 0 then Hy.demote hy else Hy.promote hy;
+      fed := List.rev_append (Hy.feed s c) !fed)
+    chunks;
+  check Alcotest.bool "ends promoted" false (Hy.demoted hy);
+  check
+    Alcotest.(list (pair int int))
+    "session across mode switches"
+    (sort (im_events (Im.run im input)))
+    (sort (hy_events (List.rev !fed @ Hy.finish s)));
+  Hy.demote hy;
+  check
+    Alcotest.(list (pair int int))
+    "demoted run"
+    (sort (im_events (Im.run im input)))
+    (sort (hy_events (Hy.run hy input)));
+  let st = Hy.stats hy in
+  check Alcotest.int "demotions counted" 4 st.Hy.demotions;
+  check Alcotest.bool "demoted bytes skipped" true (st.Hy.skipped_bytes > 0)
+
 (* ------------------------------------------------------- Properties *)
 
 let build_ruleset rules =
@@ -271,14 +287,13 @@ let prop_run_equals_imfant =
          let hy = Hy.of_imfant im in
          sort (im_events (Im.run im input)) = sort (hy_events (Hy.run hy input))))
 
-(* The eviction policy is invisible in the match semantics: clock
-   eviction on a 2-row cache (every intern past the second displaces
-   a row), flush-on-full on the same cache, and a cache big enough
-   never to fill all produce iMFAnt's events. *)
-let prop_eviction_policies_equal_imfant =
+(* Eviction is invisible in the match semantics: clock eviction on a
+   2-row cache (every intern past the second displaces a row) and a
+   cache big enough never to fill both produce iMFAnt's events. *)
+let prop_eviction_equals_imfant =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:100
-       ~name:"hybrid clock = flush = unbounded = imfant (cache_size=2)"
+       ~name:"hybrid clock = unbounded = imfant (cache_size=2)"
        ~print:Gen_re.print_ruleset_input
        QCheck2.Gen.(pair (Gen_re.ruleset ()) Gen_re.input)
        (fun (rules, input) ->
@@ -286,10 +301,10 @@ let prop_eviction_policies_equal_imfant =
          let im = Im.compile z in
          let reference = sort (im_events (Im.run im input)) in
          List.for_all
-           (fun (cache_size, eviction) ->
-             let hy = Hy.of_imfant ~cache_size ~eviction im in
+           (fun cache_size ->
+             let hy = Hy.of_imfant ~cache_size im in
              sort (hy_events (Hy.run hy input)) = reference)
-           [ (2, Hy.Clock); (2, Hy.Flush); (1 lsl 16, Hy.Clock) ]))
+           [ 2; 1 lsl 16 ]))
 
 let prop_chunked_stream_equals_imfant =
   QCheck_alcotest.to_alcotest
@@ -335,6 +350,86 @@ let prop_interleaved_sessions_tiny_cache =
          && sort (hy_events (List.rev !acc2 @ Hy.finish s2))
             = sort (im_events (Im.run im in2))))
 
+(* Demotion is the path only the planner drives: [demote], [promote]
+   and [flush] land between the chunks of two live sessions, and
+   whole-input [run] and chunk-local [run_chunk] calls on the same
+   engine interleave with them, so every mode switch happens with
+   state in flight — sessions mid-match, in the dead configuration, at
+   position 0. Every result must still be iMFAnt's. *)
+let events_of_chunk f =
+  let acc = ref [] in
+  let carry = f ~on_match:(fun fsa e -> acc := (fsa, e) :: !acc) in
+  (sort !acc, carry)
+
+let carry_equal (s1, b1) (s2, b2) =
+  s1 = s2 && Array.length b1 = Array.length b2
+  && Array.for_all2 Mfsa_util.Bitset.equal b1 b2
+
+let prop_demotion_between_chunks =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"hybrid demote/promote/flush between chunks = imfant"
+       ~print:(fun (rules, (in1, in2), tiny, plan) ->
+         Printf.sprintf "%s input2=%S tiny=%b plan=[%s]"
+           (Gen_re.print_ruleset_input (rules, in1))
+           in2 tiny
+           (String.concat ";"
+              (List.map (fun (w, op) -> Printf.sprintf "%d/%d" w op) plan)))
+       QCheck2.Gen.(
+         quad (Gen_re.ruleset ())
+           (pair Gen_re.input Gen_re.input)
+           bool
+           (list_size (int_range 1 24) (pair (int_range 1 5) (int_bound 5))))
+       (fun (rules, (in1, in2), tiny, plan) ->
+         let z = build_ruleset rules in
+         let im = Im.compile z in
+         let hy = Hy.of_imfant ~cache_size:(if tiny then 2 else 4096) im in
+         let s1 = Hy.session hy and s2 = Hy.session hy in
+         let acc1 = ref [] and acc2 = ref [] in
+         let p1 = ref 0 and p2 = ref 0 in
+         let ok = ref true in
+         let feed s input p acc w =
+           let w = min w (String.length input - !p) in
+           acc := List.rev_append (Hy.feed s (String.sub input !p w)) !acc;
+           p := !p + w
+         in
+         let apply w = function
+           | 0 -> Hy.demote hy
+           | 1 -> Hy.promote hy
+           | 2 -> Hy.flush hy
+           | 3 ->
+               ok :=
+                 !ok
+                 && sort (hy_events (Hy.run hy in2))
+                    = sort (im_events (Im.run im in2))
+           | 4 ->
+               (* A window that starts where session 1 stands. *)
+               let start = !p1 in
+               let stop = min (String.length in1) (start + (2 * w)) in
+               let got, c =
+                 events_of_chunk (Hy.run_chunk hy in1 ~start ~stop)
+               in
+               let want, (c', _) =
+                 events_of_chunk (Im.run_chunk im in1 ~start ~stop)
+               in
+               ok := !ok && got = want && carry_equal c c'
+           | _ -> ()
+         in
+         List.iter
+           (fun (w, op) ->
+             feed s1 in1 p1 acc1 w;
+             apply w op;
+             feed s2 in2 p2 acc2 w;
+             apply w ((op + 3) mod 6))
+           plan;
+         feed s1 in1 p1 acc1 (String.length in1);
+         feed s2 in2 p2 acc2 (String.length in2);
+         !ok
+         && sort (hy_events (List.rev !acc1 @ Hy.finish s1))
+            = sort (im_events (Im.run im in1))
+         && sort (hy_events (List.rev !acc2 @ Hy.finish s2))
+            = sort (im_events (Im.run im in2))))
+
 let () =
   Alcotest.run "hybrid"
     [
@@ -354,8 +449,6 @@ let () =
             test_rejects_bad_cache_size;
           Alcotest.test_case "2-entry cache survives evictions" `Quick
             test_tiny_cache_still_matches;
-          Alcotest.test_case "flush policy survives flushes" `Quick
-            test_tiny_cache_flush_policy;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
       ( "streaming",
@@ -368,12 +461,15 @@ let () =
             test_stream_start_anchor_respects_position;
           Alcotest.test_case "concurrent sessions survive evictions" `Quick
             test_concurrent_sessions_survive_flushes;
+          Alcotest.test_case "demote and promote mid-stream" `Quick
+            test_demote_promote_mid_stream;
         ] );
       ( "properties",
         [
           prop_run_equals_imfant;
-          prop_eviction_policies_equal_imfant;
+          prop_eviction_equals_imfant;
           prop_chunked_stream_equals_imfant;
           prop_interleaved_sessions_tiny_cache;
+          prop_demotion_between_chunks;
         ] );
     ]
