@@ -16,10 +16,12 @@
 
     All implementations share the matching conventions of {!Imfant}:
     unanchored matching with per-FSA [^]/[$] flags honoured, non-empty
-    matches, one report per (FSA, end position), events ordered by end
-    position (ties by FSA id, except where an implementation documents
-    transition order within a position — compare sorted lists when the
-    within-position order matters).
+    matches, one report per (FSA, end position). Events are totally
+    ordered: by end position, then by ascending FSA id within one
+    position, so two engines agree on an input iff their event lists
+    are equal. A session's [feed] results follow the same order;
+    end-anchored matches at the end of the stream come from [finish],
+    after them.
 
     Compiled engines own mutable scratch (state vectors, caches,
     counters): a compiled value must not be shared across domains.

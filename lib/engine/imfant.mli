@@ -27,7 +27,13 @@ type t
     in force at compile time ({!Tuning}) is baked in: transition
     tables are indexed by byte-equivalence class ({!Mfsa_model.Mfsa.classes},
     identity partition when tuned off) and a literal prefilter
-    ({!Prefilter}) is attached when usable. *)
+    ({!Prefilter}) is attached when usable.
+
+    Every activation set the step reads — [bel], the final sets and
+    the three initial-set tables — is also laid out word-major in one
+    flat [int array] per table, and one allocation-free per-byte
+    kernel over those words runs every entry point below: the batch
+    runs, the chunked SFA passes and sessions. *)
 
 type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
 
@@ -45,7 +51,8 @@ val compile : Mfsa_model.Mfsa.t -> t
 val of_tables : Tables.t -> t
 (** Adopt a pre-derived table bundle (an artifact load, or another
     engine's export) in O(size of the tables): nothing is re-derived
-    except the O(states) anchored-position split, and the CSR index
+    except the flat activation words the step kernel reads (word
+    copies, O((transitions + states) × ⌈fsas/62⌉)), and the CSR index
     stays lazy when the bundle omits it. The bundle's recorded
     {!Tables.t.tuning} is baked in — the current global tuning is not
     consulted. The bundle's arrays are shared, not copied: they must
@@ -114,7 +121,7 @@ val carry_step :
     [input.[start..stop-1]] with {e no} injection, reporting the
     matches the carried threads complete. Early-exits as soon as the
     carried set dies; returns the surviving carry and the bytes
-    actually consumed. Forces the CSR index. *)
+    actually consumed. *)
 
 val carry_union : carry -> carry -> carry
 (** Pointwise union of two boundary configurations; arguments are not
@@ -136,7 +143,8 @@ val session : t -> session
 
 val feed : session -> string -> match_event list
 (** Consume one chunk; matches completed within or at the end of this
-    chunk (except end-anchored ones), ordered by end position. *)
+    chunk (except end-anchored ones), ordered by end position (ties by
+    FSA id). *)
 
 val finish : session -> match_event list
 (** End of stream: the pending matches of end-anchored FSAs. The

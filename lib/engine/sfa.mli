@@ -52,8 +52,9 @@ type t
 
 val compile : spec -> inner:string -> Mfsa_model.Mfsa.t -> t
 (** Raises [Invalid_argument] on an invalid spec or an inner engine
-    other than imfant/hybrid. Forces the CSR index up front (the join
-    needs it, and a lazy thunk must not race across domains). *)
+    other than imfant/hybrid. The hybrid inner forces the CSR index
+    up front (a lazy thunk must not race across domains); the imfant
+    join needs only the step kernel's eagerly built tables. *)
 
 val of_tables : spec -> inner:string -> Tables.t -> t
 

@@ -14,6 +14,8 @@ let create n =
 
 let capacity t = t.n
 
+let words t = t.words
+
 let copy t = { n = t.n; words = Array.copy t.words }
 
 let resize t n =
@@ -60,7 +62,14 @@ let of_list n l =
   List.iter (add t) l;
   t
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+(* The predicates below are plain loops: a local recursive function
+   (or the closure [Array.for_all] builds) captures its operands and
+   allocates on every call, and these run inside engine step loops. *)
+let is_empty t =
+  let words = t.words in
+  let i = ref 0 in
+  while !i < Array.length words && words.(!i) = 0 do incr i done;
+  !i = Array.length words
 
 let equal a b = a.n = b.n && a.words = b.words
 
@@ -109,18 +118,21 @@ let inter_into ~dst src =
 
 let disjoint a b =
   same_universe a b "disjoint";
-  let rec go i =
-    i >= Array.length a.words || (a.words.(i) land b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length a.words && a.words.(!i) land b.words.(!i) = 0 do
+    incr i
+  done;
+  !i = Array.length a.words
 
 let subset a b =
   same_universe a b "subset";
-  let rec go i =
-    i >= Array.length a.words
-    || (a.words.(i) land lnot b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < Array.length a.words && a.words.(!i) land lnot b.words.(!i) = 0
+  do
+    incr i
+  done;
+  !i = Array.length a.words
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 

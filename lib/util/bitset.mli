@@ -17,6 +17,16 @@ val capacity : t -> int
 
 val copy : t -> t
 
+val bits_per_word : int
+(** Elements per word of {!words} (62: words are immediate ints). *)
+
+val words : t -> int array
+(** The underlying words, shared (not copied): element [i] is bit
+    [i mod bits_per_word] of word [i / bits_per_word], and a set of
+    capacity [n] has [max 1 (ceil (n / bits_per_word))] words. For
+    flat word-major tables that copy sets in and out word by word; a
+    writer must leave the bits at or above the capacity clear. *)
+
 val resize : t -> int -> t
 (** [resize s n] is a set of capacity [n] holding the elements of [s]
     that are smaller than [n]; [s] is unchanged. Used by the live

@@ -8,6 +8,7 @@ module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
 module In = Mfsa_engine.Infant
 module Im = Mfsa_engine.Imfant
+module Hy = Mfsa_engine.Hybrid
 module Pool = Mfsa_engine.Pool
 module Schedule = Mfsa_engine.Schedule
 
@@ -91,12 +92,11 @@ let test_imfant_match_order () =
   let z = Merge.merge [| fsa_of "ab"; fsa_of "b" |] in
   let eng = Im.compile z in
   let events = Im.run eng "ab" in
-  (* Both FSAs match at end position 2 and nothing else. *)
+  (* Both FSAs match at end position 2 and nothing else; ties are
+     reported by ascending FSA id. *)
   check Alcotest.(list (pair int int)) "ordered events"
     [ (0, 2); (1, 2) ]
-    (List.map (fun e -> (e.Im.fsa, e.Im.end_pos)) events
-    |> List.sort (fun (f1, e1) (f2, e2) ->
-           if e1 <> e2 then Int.compare e1 e2 else Int.compare f1 f2))
+    (List.map (fun e -> (e.Im.fsa, e.Im.end_pos)) events)
 
 let test_imfant_count_and_per_fsa () =
   let z = Merge.merge [| fsa_of "a"; fsa_of "aa" |] in
@@ -157,6 +157,67 @@ let test_imfant_empty_input () =
 let test_imfant_mfsa_accessor () =
   let z = Mfsa.of_fsa (fsa_of "ab") in
   check Alcotest.int "same automaton" z.Mfsa.n_states (Im.mfsa (Im.compile z)).Mfsa.n_states
+
+(* A fixed multi-word MFSA: 130 FSAs, so every activation set spans
+   three 62-bit words. Rule i is [abc]*[abc]{i/26}<salt>d with salt
+   number i mod 26: the leading [abc]* keeps threads live on every
+   byte and leaves no required literal (so no prefilter), input over
+   "abc" alone never matches, and the five rules sharing a salt match
+   together at its "d", with ids 26 apart — one end position carries
+   FSAs from all three words. *)
+let multiword =
+  lazy
+    (let salt i = String.init 3 (fun d -> "abc".[(i / [| 1; 3; 9 |].(d)) mod 3]) in
+     Im.compile
+       (Merge.merge
+          (Array.init 130 (fun i ->
+               fsa_of (Printf.sprintf "[abc]*[abc]{%d}%sd" (i / 26) (salt (i mod 26)))))))
+
+let lcg_input alphabet n =
+  let st = ref 7 in
+  String.init n (fun _ ->
+      st := ((!st * 1103515245) + 12345) land 0x3fffffff;
+      alphabet.[(!st lsr 16) mod String.length alphabet])
+
+let test_imfant_total_order_multiword () =
+  let eng = Lazy.force multiword in
+  let input = lcg_input "abcd" 4096 in
+  let events = List.map (fun e -> (e.Im.end_pos, e.Im.fsa)) (Im.run eng input) in
+  check Alcotest.bool "strictly (end, fsa) ordered" true
+    (List.sort_uniq compare events = events);
+  check Alcotest.bool "a position carries FSAs of different words" true
+    (List.exists
+       (fun (e, j) -> List.exists (fun (e', j') -> e = e' && j / 62 <> j' / 62) events)
+       events);
+  (* Unsorted: the same events in the same order as the lazy DFA. *)
+  check
+    Alcotest.(list (pair int int))
+    "= Hybrid.run"
+    (List.map (fun e -> (e.Hy.end_pos, e.Hy.fsa)) (Hy.run (Hy.of_imfant eng) input))
+    events
+
+(* The step kernel works on preallocated flat words: once warm, a
+   whole-buffer count allocates nothing per byte, and neither does a
+   session fed a chunk that keeps threads live but completes no match. *)
+let test_imfant_no_alloc_per_byte () =
+  let eng = Lazy.force multiword in
+  check Alcotest.bool "no prefilter" true (Im.prefilter eng = None);
+  let words_per_byte n f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let input = lcg_input "abcd" 65536 in
+  let wpb = words_per_byte 65536 (fun () -> ignore (Im.count eng input)) in
+  if wpb >= 1. then Alcotest.failf "count: %.2f minor words per byte" wpb;
+  let chunk = lcg_input "abc" 4096 in
+  let s = Im.session eng in
+  let wpb =
+    words_per_byte 4096 (fun () ->
+        check Alcotest.int "match-free" 0 (List.length (Im.feed s chunk)))
+  in
+  if wpb >= 1. then Alcotest.failf "feed: %.2f minor words per byte" wpb
 
 (* -------------------------------------------------------- Streaming *)
 
@@ -387,6 +448,10 @@ let () =
           Alcotest.test_case "active-set stats" `Quick test_imfant_stats;
           Alcotest.test_case "empty input" `Quick test_imfant_empty_input;
           Alcotest.test_case "mfsa accessor" `Quick test_imfant_mfsa_accessor;
+          Alcotest.test_case "multi-word total order = hybrid" `Quick
+            test_imfant_total_order_multiword;
+          Alcotest.test_case "no allocation per byte" `Quick
+            test_imfant_no_alloc_per_byte;
         ] );
       ( "streaming",
         [

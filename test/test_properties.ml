@@ -236,6 +236,79 @@ let prop_mfsa_equivalence_full_alphabet =
           per_fsa_ends events j = In.run (In.compile fsas.(j)) input)
         (Array.init (Array.length fsas) Fun.id))
 
+(* Every other property merges at most 8 rules, so no activation set
+   there crosses a 62-bit word. Here 61–130 rules (one to three words
+   per set) are made distinct by a 5-letter salt, all at the front
+   (every rule has a literal prefix, so the prefilter is on) or all at
+   the back (no prefilter). Each batch, chunked and sessioned entry
+   point of the flat kernel must reproduce the formal-model
+   interpreter, which shares none of the engine's tables, in its
+   (end, fsa) order — unsorted. A session reports the end-anchored
+   matches at the end of the stream last, from [finish]. *)
+let salted_ruleset =
+  let salt i =
+    Ast.seq (List.init 5 (fun d -> Ast.Char "abc".[(i / [| 1; 3; 9; 27; 81 |].(d)) mod 3]))
+  in
+  Gen.int_range 61 130 >>= fun n ->
+  Gen.pair (Gen.list_size (Gen.return n) Gen_re.rule) Gen.bool
+  |> Gen.map (fun (rules, front) ->
+         List.mapi
+           (fun i (r : Ast.rule) ->
+             let ast =
+               if front then Ast.Concat (salt i, r.ast) else Ast.Concat (r.ast, salt i)
+             in
+             { r with Ast.ast; pattern = Ast.to_string ast })
+           rules)
+
+let prop_multiword_kernel_equals_formal_model =
+  QCheck2.Test.make ~count:100
+    ~name:"iMFAnt over 61-130 FSAs (multi-word sets) = formal model"
+    ~print:(fun ((rules, input), cuts) ->
+      Printf.sprintf "%s cuts=[%s]"
+        (Gen_re.print_ruleset_input (rules, input))
+        (String.concat ";" (List.map string_of_int cuts)))
+    (Gen.pair
+       (Gen.pair salted_ruleset
+          (Gen.string_size ~gen:(Gen.oneofl [ 'a'; 'b'; 'c' ]) (Gen.int_range 0 120)))
+       (Gen.list_size (Gen.int_range 0 6) (Gen.int_range 0 120)))
+    (fun ((rules, input), cuts) ->
+      let z = Merge.merge (Array.of_list (List.map fsa_of_rule rules)) in
+      let expected = Mfsa_model.Activation.run z input in
+      let pairs = List.map (fun e -> (e.Im.fsa, e.Im.end_pos)) in
+      let im = Im.compile z in
+      let per_fsa = Array.make z.Mfsa.n_fsas 0 in
+      List.iter (fun (j, _) -> per_fsa.(j) <- per_fsa.(j) + 1) expected;
+      let chunked =
+        let s = Im.session im in
+        let n = String.length input in
+        let bounds = List.sort_uniq compare (0 :: n :: List.map (fun c -> min c n) cuts) in
+        let rec feed = function
+          | a :: (b :: _ as tl) ->
+              let evs = Im.feed s (String.sub input a (b - a)) in
+              evs @ feed tl
+          | _ -> Im.finish s
+        in
+        pairs (feed bounds)
+      in
+      pairs (Im.run im input) = expected
+      && Im.count_per_fsa im input = per_fsa
+      && chunked
+         = (let n = String.length input in
+            let at_end (j, e) = e = n && z.Mfsa.anchored_end.(j) in
+            List.filter (fun ev -> not (at_end ev)) expected
+            @ List.filter at_end expected)
+      && List.for_all
+           (fun domains ->
+             let sf =
+               Mfsa_engine.Sfa.compile { Mfsa_engine.Sfa.domains; threshold = 1 }
+                 ~inner:"imfant" z
+             in
+             List.map
+               (fun e -> (e.Mfsa_engine.Sfa.fsa, e.Mfsa_engine.Sfa.end_pos))
+               (Mfsa_engine.Sfa.run sf input)
+             = expected)
+           [ 1; 2; 3; 4 ])
+
 (* Reproducibility: merging is a pure function of its inputs. *)
 let prop_merge_deterministic =
   QCheck2.Test.make ~count:80 ~name:"merge is deterministic"
@@ -269,5 +342,6 @@ let () =
           qtest prop_mfsa_equivalence_prefix_strategy;
           qtest prop_merge_deterministic;
           qtest prop_stats_bounds;
+          qtest prop_multiword_kernel_equals_formal_model;
         ] );
     ]

@@ -23,7 +23,8 @@ let fsa_of src =
 
 let merge_rules rules = Merge.merge (Array.of_list (List.map fsa_of rules))
 
-(* Within-position event order is engine-specific; compare sorted. *)
+(* Sessions report end-of-stream end-anchored matches last (from
+   [finish]), so session and whole-input events compare sorted. *)
 let events l =
   List.sort compare
     (List.map (fun e -> (e.Engine_sig.fsa, e.Engine_sig.end_pos)) l)

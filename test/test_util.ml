@@ -140,7 +140,39 @@ let test_bitset_word_boundaries () =
   List.iter
     (fun i -> check Alcotest.bool (string_of_int i) true (Bitset.mem s i))
     [ 61; 62; 63; 123; 124; 185; 186 ];
-  check Alcotest.int "cardinal" 7 (Bitset.cardinal s)
+  check Alcotest.int "cardinal" 7 (Bitset.cardinal s);
+  (* The word view the flat engine tables blit: element i is bit
+     i mod 62 of word i / 62. *)
+  check Alcotest.int "bits per word" 62 Bitset.bits_per_word;
+  check
+    Alcotest.(array int)
+    "words"
+    [| 1 lsl 61; 0b11 lor (1 lsl 61); 1 lor (1 lsl 61); 1 |]
+    (Bitset.words s);
+  check Alcotest.int "empty set has one word" 1
+    (Array.length (Bitset.words (Bitset.create 0)))
+
+(* The predicates and in-place operations run inside engine step
+   loops, so they must not allocate: a closure capturing the operands
+   costs minor words on every call. *)
+let test_bitset_no_alloc () =
+  let a = Bitset.of_list 300 [ 0; 61; 62; 150; 299 ] in
+  let b = Bitset.of_list 300 [ 1; 62; 200 ] in
+  let dst = Bitset.create 300 in
+  let run () =
+    for _ = 1 to 10_000 do
+      ignore (Bitset.is_empty a);
+      ignore (Bitset.union_into ~dst a);
+      Bitset.inter_into ~dst b;
+      ignore (Bitset.disjoint a b);
+      ignore (Bitset.subset a b)
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let w1 = Gc.minor_words () in
+  check Alcotest.int "minor words over 10k calls" 0 (int_of_float (w1 -. w0))
 
 let test_bitset_set_ops () =
   let a = Bitset.of_list 50 [ 1; 2; 3; 10 ] in
@@ -388,6 +420,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           Alcotest.test_case "word boundaries" `Quick test_bitset_word_boundaries;
           Alcotest.test_case "set operations" `Quick test_bitset_set_ops;
+          Alcotest.test_case "predicates allocate nothing" `Quick
+            test_bitset_no_alloc;
           Alcotest.test_case "capacity mismatch" `Quick test_bitset_capacity_mismatch;
           Alcotest.test_case "union_into" `Quick test_bitset_union_into;
           Alcotest.test_case "inter_into" `Quick test_bitset_inter_into;
