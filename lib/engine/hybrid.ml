@@ -570,13 +570,11 @@ let demoted t = t.bypass
    position-0 configuration when it owns global position 0 and from
    the dead configuration otherwise — exactly the thread set the
    sequential run would build from injections inside the window.
-   Prefilter candidates come from the window extended by max_len - 1
-   bytes, so a literal straddling the chunk end still injects at its
-   in-chunk start (a whole-input scan hands the input itself to the
-   literal scanner, no copy). Returns the carry-out configuration
-   after the last byte as explicit arrays (the interned row's
-   hash-consed bitsets, immutable once built — safe to read from the
-   joining domain). *)
+   Prefilter candidates come from {!Prefilter.candidates_in}, so a
+   literal straddling the chunk end still injects at its in-chunk
+   start. Returns the carry-out configuration after the last byte as
+   explicit arrays (the interned row's hash-consed bitsets, immutable
+   once built — safe to read from the joining domain). *)
 let run_chunk t input ~start ~stop ~on_match =
   let z = t.z in
   let len = String.length input in
@@ -598,15 +596,10 @@ let run_chunk t input ~start ~stop ~on_match =
           if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
         done
   in
-  (* Window-relative offsets; the skip clamps them to [stop]. *)
   let cands =
     match t.prefilter with
     | None -> [||]
-    | Some p ->
-        let wstop = min len (stop + Prefilter.max_len p - 1) in
-        Prefilter.candidates p
-          (if start = 0 && wstop = len then input
-           else String.sub input start (wstop - start))
+    | Some p -> Prefilter.candidates_in p input ~start ~stop
   in
   let use_pf = t.prefilter <> None in
   let nc = Array.length cands in
@@ -619,8 +612,8 @@ let run_chunk t input ~start ~stop ~on_match =
        a prefilter injection can only succeed at literal-candidate
        offsets: everything up to the next candidate is a no-op. *)
     if use_pf && !cur = dead_id then begin
-      while !ci < nc && start + cands.(!ci) < !i do incr ci done;
-      let target = if !ci < nc then min stop (start + cands.(!ci)) else stop in
+      while !ci < nc && cands.(!ci) < !i do incr ci done;
+      let target = if !ci < nc then cands.(!ci) else stop in
       if target > !i then begin
         t.skipped <- t.skipped + (target - !i);
         i := target

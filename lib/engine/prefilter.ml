@@ -259,3 +259,16 @@ let scan_chunk t ~state chunk =
   (sorted_dedup v, state')
 
 let candidates t input = fst (scan_chunk t ~state:Aho_corasick.start_state input)
+
+let candidates_in t input ~start ~stop =
+  let len = String.length input in
+  let wstop = min len (stop + t.maxlen - 1) in
+  let window =
+    if start = 0 && wstop = len then input
+    else String.sub input start (wstop - start)
+  in
+  let out = Vec.create () in
+  Array.iter
+    (fun o -> if start + o < stop then Vec.push out (start + o))
+    (candidates t window);
+  Vec.to_array out

@@ -35,6 +35,12 @@ val candidates : t -> string -> int array
     required literal occurs — the only offsets where a match of an
     unanchored rule can begin. *)
 
+val candidates_in : t -> string -> start:int -> stop:int -> int array
+(** The candidates inside [input.[start..stop-1]], as sorted offsets
+    into [input]. The scan window extends [max_len - 1] bytes past
+    [stop], so a literal straddling [stop] still marks its in-window
+    start; a whole-input window is scanned without a copy. *)
+
 val scan_chunk : t -> state:int -> string -> int array * int
 (** Streaming variant: resumes the literal scan from an explicit
     Aho–Corasick state (see {!start_state}) and returns chunk-relative
