@@ -138,7 +138,7 @@ let emit =
         ~doc:
           "Also write a compiled binary artifact: the merged automata plus \
            every engine-ready table (byte classes, class-indexed \
-           transitions, CSR index, activation table, prefilter) under the \
+           transitions, activation table, prefilter) under the \
            current tuning flags, loadable in O(size) by $(b,mfsa-match \
            --load), $(b,mfsa-served run --load) and $(b,mfsa-live --load). \
            Without $(b,-o), the ANML dump to stdout is suppressed.")

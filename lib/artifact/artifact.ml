@@ -1,8 +1,7 @@
 (* Versioned binary MFSA artifacts: the speed-oriented counterpart of
    the extended-ANML interchange format. An artifact stores the merged
    automaton *and* every expensive engine-side derivation — the
-   class-indexed transition tables, the (state, class) CSR index, the
-   activation table, the byte-class partition, the literal-prefilter
+   class-indexed transition tables, the activation table, the byte-class partition, the literal-prefilter
    automaton and the tuning snapshot — in a flat, offset-based layout,
    so loading is O(size) sequential reads plus validation, never a
    re-run of the compile pipeline.
@@ -24,9 +23,11 @@
 
    Sections: one global META (tuning snapshot), then per automaton
    AUTO (COO vectors, anchors, patterns), CLS (byte-class partition),
-   TBC (per-class transition lists), CSR ((state, class) index,
-   optional), INI (unanchored activation table) and PFX (prefilter
-   automaton, present only when one was compiled). Every section is
+   TBC (per-class transition lists), INI (unanchored activation table)
+   and PFX (prefilter automaton, present only when one was compiled).
+   Earlier writers also emitted an optional CSR ((state, class) index)
+   section; the reader checksums it like any other and ignores it.
+   Every section is
    independently checksummed; the reader validates magic, version,
    directory bounds and every checksum before structural parsing, and
    the structural parse bounds-checks every read, so a truncated or
@@ -228,12 +229,6 @@ let tbc_payload trans_by_cls =
   Array.iter (fun row -> add_int_array b row) trans_by_cls;
   Buffer.contents b
 
-let csr_payload (off, tr) =
-  let b = Buffer.create (4 * (Array.length off + Array.length tr)) in
-  add_int_array b off;
-  add_int_array b tr;
-  Buffer.contents b
-
 let ini_payload init_unanch n_fsas =
   let b = Buffer.create 1024 in
   add_u32 b (Array.length init_unanch);
@@ -264,7 +259,6 @@ let tag_meta = "META"
 let tag_auto = "AUTO"
 let tag_cls = "CLS\x00"
 let tag_tbc = "TBC\x00"
-let tag_csr = "CSR\x00"
 let tag_ini = "INI\x00"
 let tag_pfx = "PFX\x00"
 
@@ -291,9 +285,6 @@ let to_string (tables : Tables.t list) =
                (if tb.Tables.n_classes = 256 then Array.init 256 Fun.id
                 else (Mfsa.classes z).Mfsa.class_repr) });
       push tag_tbc i (tbc_payload tb.Tables.trans_by_cls);
-      (match tb.Tables.csr with
-      | Some csr -> push tag_csr i (csr_payload csr)
-      | None -> ());
       push tag_ini i (ini_payload tb.Tables.init_unanch z.Mfsa.n_fsas);
       match tb.Tables.prefilter with
       | Some pf -> push tag_pfx i (pfx_payload pf)
@@ -375,7 +366,7 @@ let counted cur ~width n what =
   n
 
 (* Bulk u32 reads bypass the per-element cursor bookkeeping: one
-   bounds check, then a tight offset loop — the AUTO/CSR/TBC vectors
+   bounds check, then a tight offset loop — the AUTO/TBC vectors
    are where most of a large artifact's bytes live. *)
 let u32_array cur n =
   need cur (4 * n);
@@ -384,7 +375,7 @@ let u32_array cur n =
   let s = cur.s in
   (* Unsafe byte composition, not [get_int32_le]: the latter boxes an
      [Int32] per element, which dominates bulk decoding of the large
-     AUTO/CSR vectors. Bounds were established by [need] above. *)
+     AUTO vectors. Bounds were established by [need] above. *)
   for i = 0 to n - 1 do
     let k = base + (4 * i) in
     Array.unsafe_set a i
@@ -532,25 +523,6 @@ let parse_tbc cur (z : Mfsa.t) k =
         row;
       row)
 
-let parse_csr cur (z : Mfsa.t) k =
-  let off = int_array cur "offset" in
-  let tr = int_array cur "transition" in
-  let nt = Mfsa.n_transitions z in
-  let n_cells = z.Mfsa.n_states * k in
-  if Array.length off <> n_cells + 1 then
-    fail (Malformed "CSR: offset table size mismatch");
-  if off.(0) <> 0 || off.(n_cells) <> Array.length tr then
-    fail (Malformed "CSR: offsets do not cover the transition table");
-  for cell = 0 to n_cells - 1 do
-    if off.(cell) > off.(cell + 1) then
-      fail (Malformed "CSR: offsets not monotone")
-  done;
-  Array.iter
-    (fun t ->
-      if t >= nt then fail (Malformed "CSR: transition index out of range"))
-    tr;
-  (off, tr)
-
 let parse_ini cur (z : Mfsa.t) =
   let n_states = u32 cur in
   let n_fsas = u32 cur in
@@ -657,11 +629,6 @@ let of_string s =
       let z = parse_auto (require tag_auto i) in
       let cls = parse_cls (require tag_cls i) z in
       let trans_by_cls = parse_tbc (require tag_tbc i) z cls.Mfsa.n_classes in
-      let csr =
-        Option.map
-          (fun sec -> parse_csr (payload sec) z cls.Mfsa.n_classes)
-          (find tag_csr i)
-      in
       let init_unanch = parse_ini (require tag_ini i) z in
       let prefilter =
         Option.map (fun sec -> parse_pfx (payload sec)) (find tag_pfx i)
@@ -672,7 +639,6 @@ let of_string s =
         n_classes = cls.Mfsa.n_classes;
         class_of = cls.Mfsa.class_of_byte;
         trans_by_cls;
-        csr;
         init_unanch;
         prefilter;
       })
@@ -704,8 +670,7 @@ let save path tables =
 (* ------------------------------------------------------ Compilation *)
 
 (* The save side reuses the transition-centric engine's compile: the
-   artifact is by definition "what Imfant.compile derives", exported.
-   The CSR index is forced — artifacts exist to make loads cheap. *)
+   artifact is by definition "what Imfant.compile derives", exported. *)
 let export mfsas =
   if mfsas = [] then invalid_arg "Artifact.export: no automata";
   List.map (fun z -> Imfant.export_tables (Imfant.compile z)) mfsas

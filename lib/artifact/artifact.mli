@@ -2,9 +2,8 @@
 
     An artifact persists everything {!Mfsa_engine.Imfant.compile}
     derives from a merged automaton — the COO vectors, the byte-class
-    partition, the class-indexed transition tables, the (state, class)
-    CSR index, the unanchored activation table, the literal-prefilter
-    automaton and the {!Mfsa_engine.Tuning} snapshot — as a flat,
+    partition, the class-indexed transition tables, the unanchored
+    activation table, the literal-prefilter automaton and the {!Mfsa_engine.Tuning} snapshot — as a flat,
     offset-based binary blob: an 8-byte magic
     ({!Mfsa_engine.Source.artifact_magic}), a version word, and a
     checksummed section directory followed by the raw payloads.
@@ -58,8 +57,7 @@ exception Error of error
 val export : Mfsa_model.Mfsa.t list -> Mfsa_engine.Tables.t list
 (** Compile each automaton with the transition-centric engine under
     the current {!Mfsa_engine.Tuning} and export its table bundle —
-    the "compile" half of compile-then-{!save}. The CSR index is
-    forced (artifacts exist to make loads cheap).
+    the "compile" half of compile-then-{!save}.
     @raise Invalid_argument on an empty list. *)
 
 val to_string : Mfsa_engine.Tables.t list -> string

@@ -76,8 +76,7 @@ module type S = sig
       each — {!Mfsa_serve.Serve} uses exactly this to stop paying one
       full pipeline run per domain. Table-capable engines should
       satisfy the round trip: [load (to_tables c)] behaves like
-      [c] freshly compiled. May force lazily-built derivations (the
-      CSR index). *)
+      [c] freshly compiled. *)
 
   val mfsa : compiled -> Mfsa_model.Mfsa.t
   (** The underlying automaton. *)

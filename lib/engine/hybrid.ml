@@ -1,5 +1,4 @@
 module Mfsa = Mfsa_model.Mfsa
-module Bitset = Mfsa_util.Bitset
 
 type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
 
@@ -21,77 +20,21 @@ type stats = {
 
 (* A configuration is iMFAnt's entire runtime state at one input
    position: the active states (ascending) with their activation sets
-   J(q). States with empty J are not active (Equation 6 popped every
-   FSA), so they never appear. *)
-type config = { c_states : int array; c_sets : Bitset.t array }
+   J(q), interned in the kernel's flat form ({!Imfant.config_step}).
+   States with empty J are not active (Equation 6 popped every FSA),
+   so they never appear.
 
-let empty_cfg = { c_states = [||]; c_sets = [||] }
-
-module Key = struct
-  type t = config
-
-  let equal a b =
-    let n = Array.length a.c_states in
-    n = Array.length b.c_states
-    &&
-    let rec go i =
-      i >= n
-      || a.c_states.(i) = b.c_states.(i)
-         && Bitset.equal a.c_sets.(i) b.c_sets.(i)
-         && go (i + 1)
-    in
-    go 0
-
-  let hash c =
-    let h = ref (Array.length c.c_states) in
-    Array.iteri
-      (fun i q ->
-        h := ((!h * 31) + q) land max_int;
-        h := ((!h * 31) + Bitset.hash c.c_sets.(i)) land max_int)
-      c.c_states;
-    !h
-end
-
-module Tbl = Hashtbl.Make (Key)
-
-(* One memo row per interned configuration, indexed by byte class: the
-   successor id and the FSAs matching on the edge, per class. -1 = not
-   computed yet. Successor ids can go stale — clock eviction reuses
-   slots in place — so every memoised id is paired with the mint stamp
-   the target slot carried when the entry was written ([next_stamp]);
-   an entry is live iff the stored stamp still equals the slot's
-   current stamp. *)
-type row = {
-  cfg : config;
-  next : int array;
-  next_stamp : int array;
-  edge_matches : int array array;
-}
-
-let mk_row k cfg =
-  {
-    cfg;
-    next = Array.make k (-1);
-    next_stamp = Array.make k (-1);
-    edge_matches = Array.make k [||];
-  }
-
-(* Row 0 is the position-0 start configuration (inits include the
-   start-anchored FSAs); row 1 is the dead configuration (empty,
-   reached mid-stream). Both are empty as (state, set) maps but step
-   differently, so they get distinct permanent ids; only the dead one
-   is registered in the intern table. [seed] rebuilds both after a
-   flush; the clock hand never visits slots below 2, so these two ids
-   are the only ones stable across both flushes and evictions. *)
+   Slot 0 is the position-0 start configuration (inits include the
+   start-anchored FSAs); slot 1 is the dead configuration (empty,
+   reached mid-stream). Both are empty but step differently, so they
+   get distinct permanent ids, and neither is in the intern index:
+   an empty successor is [dead_id] by definition. [seed] rebuilds
+   both after a flush; the clock hand never visits slots below 2, so
+   these two ids are the only ones stable across both flushes and
+   evictions. *)
 let start_id = 0
 
 let dead_id = 1
-
-(* Sentinel a scan's [cur] takes while the engine is demoted and the
-   configuration is live: the memo cache is bypassed, so there is no
-   row id — the explicit configuration carried beside it is the whole
-   handle. *)
-let bypass_live = -2
 
 (* Adaptive sizing bands: every [resize_window] steps the engine looks
    at the window's eviction pressure and hit rate. Sustained eviction
@@ -113,30 +56,48 @@ let shrink_above_rate = 0.95
 
 let max_grow_factor = 8
 
+(* Tables keyed by ints that need no further hashing: a configuration
+   hash, or a memo entry index. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash h = h land max_int
+end)
+
+(* The memo rows are flat int arrays: slot [v] holds the configuration
+   [keys.(v)] and, per byte class [c], one memo entry at
+   [e = v*k + c]. [next.(e)] packs the successor id with a bit saying
+   whether any FSA matches on the edge (id * 2 + bit; the match set
+   itself is bound to [e] in [edge_sets]), and [next_stamp.(e)] is the
+   mint stamp the successor slot carried when the entry was written.
+   -1 = not computed yet. Clock eviction reuses slots in place, so an
+   entry is live iff its stored stamp still equals the successor
+   slot's current stamp; a reused slot allocates nothing. *)
 type t = {
   im : Imfant.t;
   z : Mfsa.t;
-  k : int;  (* byte-class count; rows and CSR are class-indexed *)
+  k : int;  (* byte-class count; rows are class-indexed *)
   class_of : bytes;
   prefilter : Prefilter.t option;
   base_cache : int;  (* configured capacity; [cap] floats around it *)
   any_end_anchor : bool;
-  init_all : Bitset.t array;
-  init_unanch : Bitset.t array;
-  init_states_all : int array;
-      (* States initial for some FSA — fallback sources even when
-         inactive (Equation 4: an FSA is pushed when leaving its
-         initial state, at any input position). *)
-  init_states_unanch : int array;
-  csr_off : int array;
-  csr_tr : int array;
-  tbl : int Tbl.t;
-  mutable rows : row array;
+  sp : Imfant.stepper;  (* the miss path's kernel scratch *)
+  singles : int array array;
+      (* [singles.(j)] = [|j|], built on first use: every edge on
+         which FSA j alone matches shares it. *)
+  mutable keys : int array array;
+  mutable hashes : int array;  (* per slot, the hash of its key *)
+  mutable next : int array;
+  mutable next_stamp : int array;
+  edge_sets : int array Int_tbl.t;
   mutable stamps : int array;
       (* Per-slot mint stamp; -1 marks a freed slot. The mint counter
          is monotone across flushes, so stamp equality identifies one
          specific minted row, ever. *)
   mutable refs : Bytes.t;  (* clock reference bits, '\001' = referenced *)
+  index : int Int_tbl.t;  (* key hash -> slot, over slots >= 2 *)
   mutable n_rows : int;
   mutable free : int list;  (* slots freed by a shrink, reused first *)
   mutable n_free : int;
@@ -144,27 +105,15 @@ type t = {
   mutable cap : int;  (* live capacity in rows, adaptive *)
   mutable mint : int;
   mutable bypass : bool;
-      (* Demoted: the memo cache is out of the loop and every step is
-         an NFA fallback from the explicit configuration — plain
-         iMFAnt semantics with session state preserved. *)
+      (* Demoted: the memo cache is out of the loop and the engine is
+         a plain iMFAnt scan. *)
   mutable last_edge : int array;
       (* Matches of the edge the latest [step] traversed. *)
-  mutable last_cfg : config;
-      (* Successor configuration of the latest demoted [step]. *)
-  (* Fallback scratch, allocated once per engine. *)
-  acc_sets : Bitset.t array;
-  acc_stamp : int array;
-  active_stamp : int array;
-  touched : int array;
-  src_scratch : Bitset.t;
-  tr_scratch : Bitset.t;
-  match_acc : Bitset.t;
   mutable epoch : int;
       (* Bumped by every flush. Row ids > dead_id minted before the
-         current epoch index a dropped rows array; sessions compare
-         epochs (then per-slot stamps) to know when to re-intern their
+         current epoch index dropped rows; sessions compare epochs
+         (then per-slot stamps) to know when to re-intern their
          configuration. *)
-  mutable gen : int;
   (* Counters. *)
   mutable steps : int;
   mutable hits : int;
@@ -182,34 +131,93 @@ type t = {
   mutable win_ev0 : int;
 }
 
-let add_row t cfg ~register =
-  if t.n_rows = Array.length t.rows then begin
-    let n = Array.length t.rows in
-    let bigger = Array.make (2 * n) t.rows.(0) in
-    Array.blit t.rows 0 bigger 0 t.n_rows;
-    t.rows <- bigger;
-    let stamps = Array.make (2 * n) (-1) in
-    Array.blit t.stamps 0 stamps 0 t.n_rows;
-    t.stamps <- stamps;
-    let refs = Bytes.make (2 * n) '\000' in
-    Bytes.blit t.refs 0 refs 0 t.n_rows;
-    t.refs <- refs
-  end;
-  let id = t.n_rows in
-  t.rows.(id) <- mk_row t.k cfg;
+(* ---------------------------------------------------- Intern index *)
+
+let hash buf len =
+  let h = ref len in
+  for i = 0 to len - 1 do
+    h := (!h lxor Array.unsafe_get buf i) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 29)
+
+let same (key : int array) (buf : int array) len =
+  Array.length key = len
+  &&
+  let rec go i = i >= len || (key.(i) = buf.(i) && go (i + 1)) in
+  go 0
+
+(* The slot whose key is [buf.(0 .. len-1)], or -1. The index maps a
+   hash to one slot and every lookup compares the key itself, so a
+   hash collision only costs the colliding configuration a second
+   slot, never a wrong answer. *)
+let find t buf len h =
+  match Int_tbl.find t.index h with
+  | v -> if same t.keys.(v) buf len then v else -1
+  | exception Not_found -> -1
+
+let insert t v = Int_tbl.replace t.index t.hashes.(v) v
+
+let remove t v =
+  let h = t.hashes.(v) in
+  match Int_tbl.find t.index h with
+  | u -> if u = v then Int_tbl.remove t.index h
+  | exception Not_found -> ()
+
+(* ------------------------------------------------------------ Rows *)
+
+let initial_slots = 16
+
+(* Fresh row storage for [n] slots, all free. *)
+let alloc_rows t n =
+  t.keys <- Array.make n [||];
+  t.hashes <- Array.make n 0;
+  t.next <- Array.make (n * t.k) (-1);
+  t.next_stamp <- Array.make (n * t.k) (-1);
+  t.stamps <- Array.make n (-1);
+  t.refs <- Bytes.make n '\000'
+
+(* Double the slot arrays, keeping slots [0, n_rows). *)
+let grow_rows t =
+  let n = Array.length t.stamps and k = t.k in
+  let keep a b m = Array.blit a 0 b 0 (t.n_rows * m) in
+  let keys = t.keys and hashes = t.hashes and next = t.next in
+  let next_stamp = t.next_stamp and stamps = t.stamps in
+  let refs = t.refs in
+  alloc_rows t (2 * n);
+  keep keys t.keys 1;
+  keep hashes t.hashes 1;
+  keep next t.next k;
+  keep next_stamp t.next_stamp k;
+  keep stamps t.stamps 1;
+  Bytes.blit refs 0 t.refs 0 t.n_rows
+
+(* Put configuration [key] in slot [v] with a fresh mint stamp and an
+   empty memo row; register it unless it is a built-in. *)
+let install t v key h =
+  t.keys.(v) <- key;
+  t.hashes.(v) <- h;
+  Array.fill t.next (v * t.k) t.k (-1);
   t.mint <- t.mint + 1;
-  t.stamps.(id) <- t.mint;
-  Bytes.set t.refs id '\001';
-  t.n_rows <- id + 1;
-  if register then Tbl.replace t.tbl cfg id;
-  id
+  t.stamps.(v) <- t.mint;
+  Bytes.set t.refs v '\001';
+  if v > dead_id then insert t v
+
+let add_slot t =
+  if t.n_rows = Array.length t.stamps then grow_rows t;
+  let v = t.n_rows in
+  t.n_rows <- v + 1;
+  v
 
 let seed t =
+  alloc_rows t initial_slots;
+  Int_tbl.reset t.index;
+  Int_tbl.reset t.edge_sets;
   t.n_rows <- 0;
-  ignore (add_row t empty_cfg ~register:false);
-  (* start *)
-  ignore (add_row t empty_cfg ~register:true)
-(* dead *)
+  t.free <- [];
+  t.n_free <- 0;
+  t.hand <- 2;
+  install t (add_slot t) [||] 0 (* start_id *);
+  install t (add_slot t) [||] 0 (* dead_id *)
 
 let of_imfant ?cache_size im =
   (* The wrapped engine recorded the tuning in force when it was
@@ -222,36 +230,25 @@ let of_imfant ?cache_size im =
   in
   if cache_size < 1 then invalid_arg "Hybrid.of_imfant: cache_size < 1";
   let z = Imfant.mfsa im in
-  let init_all, init_unanch = Imfant.init_tables im in
-  let csr_off, csr_tr = Imfant.csr im in
-  let k = Imfant.n_classes im in
-  let nonempty inits =
-    let acc = ref [] in
-    for q = Array.length inits - 1 downto 0 do
-      if not (Bitset.is_empty inits.(q)) then acc := q :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let n = z.Mfsa.n_states and nf = z.Mfsa.n_fsas in
   let t =
     {
       im;
       z;
-      k;
+      k = Imfant.n_classes im;
       class_of = Imfant.class_of im;
       prefilter = Imfant.prefilter im;
       base_cache = cache_size;
       any_end_anchor = Array.exists Fun.id z.Mfsa.anchored_end;
-      init_all;
-      init_unanch;
-      init_states_all = nonempty init_all;
-      init_states_unanch = nonempty init_unanch;
-      csr_off;
-      csr_tr;
-      tbl = Tbl.create 256;
-      rows = Array.make 16 (mk_row k empty_cfg);
-      stamps = Array.make 16 (-1);
-      refs = Bytes.make 16 '\000';
+      sp = Imfant.stepper im;
+      singles = Array.make z.Mfsa.n_fsas [||];
+      keys = [||];
+      hashes = [||];
+      next = [||];
+      next_stamp = [||];
+      edge_sets = Int_tbl.create 64;
+      stamps = [||];
+      refs = Bytes.empty;
+      index = Int_tbl.create 64;
       n_rows = 0;
       free = [];
       n_free = 0;
@@ -260,16 +257,7 @@ let of_imfant ?cache_size im =
       mint = 0;
       bypass = false;
       last_edge = [||];
-      last_cfg = empty_cfg;
-      acc_sets = Array.init n (fun _ -> Bitset.create nf);
-      acc_stamp = Array.make n (-1);
-      active_stamp = Array.make n (-1);
-      touched = Array.make n 0;
-      src_scratch = Bitset.create nf;
-      tr_scratch = Bitset.create nf;
-      match_acc = Bitset.create nf;
       epoch = 0;
-      gen = 0;
       steps = 0;
       hits = 0;
       misses = 0;
@@ -299,15 +287,8 @@ let mfsa t = t.z
 let imfant t = t.im
 
 let flush t =
-  Tbl.reset t.tbl;
-  t.rows <- Array.make 16 (mk_row t.k empty_cfg);
-  t.stamps <- Array.make 16 (-1);
-  t.refs <- Bytes.make 16 '\000';
-  t.free <- [];
-  t.n_free <- 0;
-  t.hand <- 2;
-  t.cap <- t.base_cache;
   seed t;
+  t.cap <- t.base_cache;
   t.epoch <- t.epoch + 1;
   t.flushes <- t.flushes + 1
 
@@ -336,20 +317,12 @@ let clock_pick t =
    The slot is then either reused in place ([install]) or parked on
    the free list. *)
 let evict t v =
-  Tbl.remove t.tbl t.rows.(v).cfg;
+  remove t v;
   t.evictions_c <- t.evictions_c + 1
-
-let install t v cfg =
-  t.rows.(v) <- mk_row t.k cfg;
-  t.mint <- t.mint + 1;
-  t.stamps.(v) <- t.mint;
-  Bytes.set t.refs v '\001';
-  Tbl.replace t.tbl cfg v;
-  v
 
 let free_slot t v =
   evict t v;
-  t.rows.(v) <- mk_row t.k empty_cfg;
+  t.keys.(v) <- [||];
   t.stamps.(v) <- -1;
   Bytes.set t.refs v '\000';
   t.free <- v :: t.free;
@@ -396,16 +369,23 @@ let maybe_resize t =
     t.win_ev0 <- t.evictions_c
   end
 
-(* Find-or-create the row for [cfg]. A full cache evicts exactly one
-   victim and reuses its slot in place — every other row, and every
-   session, survives. The returned id is always valid in the rows
-   array the call leaves behind. *)
-let intern_id t cfg =
-  match Tbl.find_opt t.tbl cfg with
-  | Some id ->
-      Bytes.set t.refs id '\001';
-      id
-  | None -> (
+(* Find-or-create the row for the configuration [buf.(0 .. len-1)],
+   hashed and compared in place; only a new configuration is copied
+   into a key ([copy]), or adopted as one when [buf] already is an
+   immutable key of exactly [len] words. A full cache evicts exactly
+   one victim and reuses its slot in place — every other row, and
+   every session, survives. The returned id is always valid in the
+   rows the call leaves behind. *)
+let intern t buf len ~copy =
+  if len = 0 then dead_id
+  else
+    let h = hash buf len in
+    let v = find t buf len h in
+    if v >= 0 then begin
+      Bytes.set t.refs v '\001';
+      v
+    end
+    else begin
       t.interned <- t.interned + 1;
       maybe_resize t;
       (* The capacity bounds *live* rows, not allocated slots: reusing
@@ -413,141 +393,76 @@ let intern_id t cfg =
          same gate as growing the arrays — otherwise free-list refills
          after a shrink would let the occupancy silently climb past
          [cap] again. *)
-      if live_rows t < t.cap then
-        match t.free with
-        | v :: rest ->
-            t.free <- rest;
-            t.n_free <- t.n_free - 1;
-            install t v cfg
-        | [] -> add_row t cfg ~register:true
-      else begin
-        let v = clock_pick t in
-        evict t v;
-        install t v cfg
-      end)
+      let v =
+        if live_rows t < t.cap then (
+          match t.free with
+          | v :: rest ->
+              t.free <- rest;
+              t.n_free <- t.n_free - 1;
+              v
+          | [] -> add_slot t)
+        else begin
+          let v = clock_pick t in
+          evict t v;
+          v
+        end
+      in
+      install t v (if copy then Array.sub buf 0 len else buf) h;
+      v
+    end
 
-(* The NFA step from one explicit configuration: Equations 4–6 over
-   the active states' (and initial states') outgoing arcs for class
-   [c], via the CSR — never the full class-enabled transition list. *)
-let fallback t cfg c ~at_start =
-  let z = t.z in
-  let k = t.k in
-  let inits = if at_start then t.init_all else t.init_unanch in
-  let init_states =
-    if at_start then t.init_states_all else t.init_states_unanch
-  in
-  let csr_off = t.csr_off and csr_tr = t.csr_tr in
-  t.gen <- t.gen + 1;
-  let g = t.gen in
-  let ntouch = ref 0 in
-  let fire q src =
-    let base = (q * k) + c in
-    for i = csr_off.(base) to csr_off.(base + 1) - 1 do
-      let tr = csr_tr.(i) in
-      (* J' = src ∩ bel(t); the move is valid iff J' ≠ ∅. *)
-      Bitset.clear t.tr_scratch;
-      ignore (Bitset.union_into ~dst:t.tr_scratch src);
-      Bitset.inter_into ~dst:t.tr_scratch z.Mfsa.bel.(tr);
-      if not (Bitset.is_empty t.tr_scratch) then begin
-        let d = z.Mfsa.col.(tr) in
-        if t.acc_stamp.(d) <> g then begin
-          t.acc_stamp.(d) <- g;
-          Bitset.clear t.acc_sets.(d);
-          t.touched.(!ntouch) <- d;
-          incr ntouch
-        end;
-        ignore (Bitset.union_into ~dst:t.acc_sets.(d) t.tr_scratch)
-      end
-    done
-  in
-  Array.iteri
-    (fun i q ->
-      t.active_stamp.(q) <- g;
-      Bitset.clear t.src_scratch;
-      ignore (Bitset.union_into ~dst:t.src_scratch cfg.c_sets.(i));
-      ignore (Bitset.union_into ~dst:t.src_scratch inits.(q));
-      fire q t.src_scratch)
-    cfg.c_states;
-  Array.iter
-    (fun q -> if t.active_stamp.(q) <> g then fire q inits.(q))
-    init_states;
-  let states = Array.sub t.touched 0 !ntouch in
-  Array.sort Int.compare states;
-  Bitset.clear t.match_acc;
-  let sets =
-    Array.map
-      (fun d ->
-        let s = Bitset.copy t.acc_sets.(d) in
-        (* Equation 5: matches for the FSAs final in d ∩ J'. *)
-        Bitset.clear t.tr_scratch;
-        ignore (Bitset.union_into ~dst:t.tr_scratch s);
-        Bitset.inter_into ~dst:t.tr_scratch z.Mfsa.final_sets.(d);
-        ignore (Bitset.union_into ~dst:t.match_acc t.tr_scratch);
-        s)
-      states
-  in
-  let matches =
-    if Bitset.is_empty t.match_acc then [||]
-    else Array.of_list (Bitset.to_list t.match_acc)
-  in
-  ({ c_states = states; c_sets = sets }, matches)
+(* The FSAs matching on the edge the stepper just computed. *)
+let edge_set t (sp : Imfant.stepper) =
+  match sp.n_matched with
+  | 0 -> [||]
+  | 1 ->
+      let j = sp.matched.(0) in
+      if Array.length t.singles.(j) = 0 then t.singles.(j) <- [| j |];
+      t.singles.(j)
+  | n -> Array.sub sp.matched 0 n
 
-(* Consume one class from the scan state [cur] and return the
-   successor, leaving the edge's match set in [t.last_edge].
+(* The cache miss: one call into iMFAnt's step kernel from the row's
+   configuration, then intern the successor and memoise the edge —
+   unless clock eviction picked the very row we stepped from as the
+   victim (its stamp moved). *)
+let miss t cur c =
+  t.misses <- t.misses + 1;
+  let sp = t.sp in
+  Imfant.config_step t.im sp t.keys.(cur) c ~at_start:(cur = start_id);
+  let ms = edge_set t sp in
+  let stamp = t.stamps.(cur) in
+  let id = intern t sp.next sp.next_len ~copy:true in
+  if t.stamps.(cur) = stamp then begin
+    let e = (cur * t.k) + c in
+    t.next.(e) <- (id lsl 1) lor Bool.to_int (Array.length ms > 0);
+    t.next_stamp.(e) <- t.stamps.(id);
+    if Array.length ms > 0 then Int_tbl.replace t.edge_sets e ms
+  end;
+  t.last_edge <- ms;
+  id
 
-   Cached: [cur] is a row id — memo lookup, or NFA fallback + intern
-   + memoize. Staleness discipline: the memo hit requires the stored
-   stamp to still match the successor slot's stamp (eviction reuses
-   slots in place), and the memo write is skipped when clock eviction
-   picked the very row we stepped from as the victim.
-
-   Demoted: every step is the NFA fallback from the explicit
-   configuration [cfg] (only read when [cur = bypass_live]; the start
-   and dead ids stand for the empty configuration), counted as a miss
-   — there is no cache to hit. The successor is [dead_id] or
-   [bypass_live], with its configuration left in [t.last_cfg]. *)
-let step t cur cfg c =
+(* Consume class [c] from row [cur] and return the successor row,
+   leaving the edge's match set in [t.last_edge]: a memo lookup,
+   validated against the successor slot's stamp, or a miss. *)
+let step t cur c =
   t.steps <- t.steps + 1;
-  if t.bypass then begin
-    t.misses <- t.misses + 1;
-    let src = if cur = bypass_live then cfg else empty_cfg in
-    let cfg', ms = fallback t src c ~at_start:(cur = start_id) in
-    t.last_edge <- ms;
-    t.last_cfg <- cfg';
-    if Array.length cfg'.c_states = 0 then dead_id else bypass_live
+  let e = (cur * t.k) + c in
+  let x = t.next.(e) in
+  let nxt = x asr 1 in
+  if x >= 0 && t.next_stamp.(e) = t.stamps.(nxt) then begin
+    t.hits <- t.hits + 1;
+    Bytes.set t.refs nxt '\001';
+    t.last_edge <- (if x land 1 = 0 then [||] else Int_tbl.find t.edge_sets e);
+    nxt
   end
-  else begin
-    let r = t.rows.(cur) in
-    let nxt = r.next.(c) in
-    if nxt >= 0 && r.next_stamp.(c) = t.stamps.(nxt) then begin
-      t.hits <- t.hits + 1;
-      Bytes.set t.refs nxt '\001';
-      t.last_edge <- r.edge_matches.(c);
-      nxt
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      let cfg', ms = fallback t r.cfg c ~at_start:(cur = start_id) in
-      let id = intern_id t cfg' in
-      if t.rows.(cur) == r then begin
-        r.next.(c) <- id;
-        r.next_stamp.(c) <- t.stamps.(id);
-        r.edge_matches.(c) <- ms
-      end;
-      t.last_edge <- ms;
-      id
-    end
-  end
-
-(* The configuration a scan state names. *)
-let cfg_of t cur cfg = if cur = bypass_live then cfg else t.rows.(cur).cfg
+  else miss t cur c
 
 (* ------------------------------------------------------- Demotion *)
 
 (* Demotion is the planner's escape hatch for sustained churn: stop
-   paying for a cache that cannot hold the working set and step the
-   NFA directly, iMFAnt-style. Streaming sessions carry their
-   configuration explicitly, so they cross both transitions without
+   paying for a cache that cannot hold the working set and run plain
+   iMFAnt. Streaming sessions convert their configuration to and from
+   a kernel scan between feeds, so they cross both transitions without
    losing position or pending matches. *)
 let demote t =
   if not t.bypass then begin
@@ -562,6 +477,11 @@ let promote t = t.bypass <- false
 
 let demoted t = t.bypass
 
+(* Demoted work has no cache to hit: every byte stepped is a miss. *)
+let count_demoted t n =
+  t.steps <- t.steps + n;
+  t.misses <- t.misses + n
+
 (* ------------------------------------------------------ Execution *)
 
 (* The one batch scan, over input.[start..stop-1]: [run]/[count]/
@@ -572,62 +492,66 @@ let demoted t = t.bypass
    sequential run would build from injections inside the window.
    Prefilter candidates come from {!Prefilter.candidates_in}, so a
    literal straddling the chunk end still injects at its in-chunk
-   start. Returns the carry-out configuration after the last byte as
-   explicit arrays (the interned row's hash-consed bitsets, immutable
-   once built — safe to read from the joining domain). *)
+   start. Returns the carry-out configuration after the last byte.
+   Demoted, this is iMFAnt's own pass. *)
 let run_chunk t input ~start ~stop ~on_match =
-  let z = t.z in
-  let len = String.length input in
-  let class_of = t.class_of in
-  let cls i =
-    Char.code
-      (Bytes.unsafe_get class_of (Char.code (String.unsafe_get input i)))
-  in
-  let emit ms pos =
-    let n = Array.length ms in
-    if n > 0 then
-      if not t.any_end_anchor then
-        for j = 0 to n - 1 do
-          on_match ms.(j) pos
-        done
-      else
-        for j = 0 to n - 1 do
-          let f = ms.(j) in
-          if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
-        done
-  in
-  let cands =
-    match t.prefilter with
-    | None -> [||]
-    | Some p -> Prefilter.candidates_in p input ~start ~stop
-  in
-  let use_pf = t.prefilter <> None in
-  let nc = Array.length cands in
-  let ci = ref 0 in
-  let cur = ref (if start = 0 then start_id else dead_id) in
-  let cfg = ref empty_cfg in
-  let i = ref start in
-  while !i < stop do
-    (* The dead configuration only leaves through injection, and with
-       a prefilter injection can only succeed at literal-candidate
-       offsets: everything up to the next candidate is a no-op. *)
-    if use_pf && !cur = dead_id then begin
-      while !ci < nc && cands.(!ci) < !i do incr ci done;
-      let target = if !ci < nc then cands.(!ci) else stop in
-      if target > !i then begin
-        t.skipped <- t.skipped + (target - !i);
-        i := target
+  if t.bypass then begin
+    let carry, skipped = Imfant.run_chunk t.im input ~start ~stop ~on_match in
+    count_demoted t (stop - start - skipped);
+    t.skipped <- t.skipped + skipped;
+    carry
+  end
+  else begin
+    let z = t.z in
+    let len = String.length input in
+    let class_of = t.class_of in
+    let cls i =
+      Char.code
+        (Bytes.unsafe_get class_of (Char.code (String.unsafe_get input i)))
+    in
+    let emit ms pos =
+      let n = Array.length ms in
+      if n > 0 then
+        if not t.any_end_anchor then
+          for j = 0 to n - 1 do
+            on_match ms.(j) pos
+          done
+        else
+          for j = 0 to n - 1 do
+            let f = ms.(j) in
+            if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
+          done
+    in
+    let cands =
+      match t.prefilter with
+      | None -> [||]
+      | Some p -> Prefilter.candidates_in p input ~start ~stop
+    in
+    let use_pf = t.prefilter <> None in
+    let nc = Array.length cands in
+    let ci = ref 0 in
+    let cur = ref (if start = 0 then start_id else dead_id) in
+    let i = ref start in
+    while !i < stop do
+      (* The dead configuration only leaves through injection, and with
+         a prefilter injection can only succeed at literal-candidate
+         offsets: everything up to the next candidate is a no-op. *)
+      if use_pf && !cur = dead_id then begin
+        while !ci < nc && cands.(!ci) < !i do incr ci done;
+        let target = if !ci < nc then cands.(!ci) else stop in
+        if target > !i then begin
+          t.skipped <- t.skipped + (target - !i);
+          i := target
+        end
+      end;
+      if !i < stop then begin
+        cur := step t !cur (cls !i);
+        emit t.last_edge (!i + 1);
+        incr i
       end
-    end;
-    if !i < stop then begin
-      cur := step t !cur !cfg (cls !i);
-      if !cur = bypass_live then cfg := t.last_cfg;
-      emit t.last_edge (!i + 1);
-      incr i
-    end
-  done;
-  let c = cfg_of t !cur !cfg in
-  ((c.c_states, c.c_sets) : Imfant.carry)
+    done;
+    Imfant.carry_of_config t.im t.keys.(!cur)
+  end
 
 let execute t input ~on_match =
   ignore (run_chunk t input ~start:0 ~stop:(String.length input) ~on_match)
@@ -661,23 +585,16 @@ let hits_total t = t.hits
 
 let stats t =
   let word_bytes = 8 in
-  let bitset_bytes =
-    word_bytes * (((t.z.Mfsa.n_fsas + 61) / 62) + 3)
-  in
   let bytes = ref 0 in
-  for i = 0 to t.n_rows - 1 do
-    if t.stamps.(i) >= 0 then begin
-      let r = t.rows.(i) in
-      (* next + stamps + edge_matches pointer arrays, row and config
-         headers. *)
-      bytes := !bytes + (word_bytes * ((3 * t.k) + 8));
-      Array.iter
-        (fun ms -> bytes := !bytes + (word_bytes * Array.length ms))
-        r.edge_matches;
-      bytes := !bytes + (word_bytes * Array.length r.cfg.c_states);
-      bytes := !bytes + (bitset_bytes * Array.length r.cfg.c_sets)
-    end
+  for v = 0 to t.n_rows - 1 do
+    if t.stamps.(v) >= 0 then
+      (* next + next_stamp, key, hash, stamp and index. *)
+      bytes :=
+        !bytes + (word_bytes * ((2 * t.k) + 5 + Array.length t.keys.(v)))
   done;
+  Int_tbl.iter
+    (fun _ ms -> bytes := !bytes + (word_bytes * (4 + Array.length ms)))
+    t.edge_sets;
   {
     steps = t.steps;
     hits = t.hits;
@@ -714,33 +631,37 @@ let reset_stats t =
 type session = {
   eng : t;
   mutable cur : int;
-  mutable cur_cfg : config;
+  mutable key : int array;
       (* The configuration [cur] names. Row ids do not survive a flush
          or an eviction of their slot, so the session keeps the
-         (immutable) configuration itself as the durable handle and
-         re-interns it when the engine has moved on; while the engine
-         is demoted this is the whole handle and [cur] holds
-         [bypass_live]. *)
+         (immutable) key itself as the durable handle and re-interns
+         it when the engine has moved on. *)
   mutable epoch : int;
       (* Engine epoch [cur] was minted in. *)
   mutable stamp : int;
       (* Mint stamp of [cur]'s slot when the session last left the
          engine; a differing stamp means the slot was reused (or
-         freed) and [cur_cfg] must be re-interned. *)
+         freed) and [key] must be re-interned. *)
   mutable ac_state : int;
-      (* Literal-scanner state carried across chunks, so candidate
-         detection survives literals straddling chunk boundaries. *)
+      (* Literal-scanner state carried across chunks. Any state yields
+         every candidate that starts inside a chunk, so a state left
+         stale by demoted feeds costs nothing. *)
   mutable pos : int;
   mutable pending_end : int list;
-      (* end-anchored FSAs matched exactly at [pos]; flushed by
-         [finish], discarded whenever the stream continues *)
+      (* end-anchored FSAs matched exactly at [pos], descending;
+         flushed by [finish], discarded whenever the stream continues *)
+  mutable scan : Imfant.session option;
+      (* The kernel scan this session steps while the engine is
+         demoted; while it is [Some], it holds the configuration,
+         position and pending matches, and the fields above are
+         stale. *)
 }
 
 let session eng =
   {
     eng;
     cur = start_id;
-    cur_cfg = empty_cfg;
+    key = [||];
     epoch = eng.epoch;
     stamp = eng.stamps.(start_id);
     ac_state =
@@ -749,55 +670,56 @@ let session eng =
       | None -> 0);
     pos = 0;
     pending_end = [];
+    scan = None;
   }
 
 let reset s =
   s.cur <- start_id;
-  s.cur_cfg <- empty_cfg;
+  s.key <- [||];
   s.epoch <- s.eng.epoch;
   s.stamp <- s.eng.stamps.(start_id);
   s.ac_state <-
     (match s.eng.prefilter with Some p -> Prefilter.start_state p | None -> 0);
   s.pos <- 0;
-  s.pending_end <- []
+  s.pending_end <- [];
+  s.scan <- None
 
-let position s = s.pos
+let position s =
+  match s.scan with Some sc -> Imfant.position sc | None -> s.pos
+
+(* Back from a demoted stretch: the scan's configuration becomes the
+   session's key again. Only position 0 names the start row. *)
+let leave_scan s sc =
+  let t = s.eng in
+  s.scan <- None;
+  s.key <- Imfant.config_of_session sc;
+  s.pos <- Imfant.position sc;
+  s.pending_end <- Imfant.pending_end sc;
+  s.cur <-
+    (if s.pos = 0 then start_id
+     else intern t s.key (Array.length s.key) ~copy:false);
+  s.epoch <- t.epoch;
+  s.stamp <- t.stamps.(s.cur)
 
 (* Concurrent sessions share one cache: between this session's feeds,
    any other session (or a [run] on the same engine) may have flushed
    the table, evicted the row this session points at, or demoted the
-   engine. Re-validate before touching [t.rows]: the epoch test comes
+   engine. Re-validate before touching the rows: the epoch test comes
    first (after a flush [s.cur] may be out of bounds for the fresh
    stamps array), then the per-slot stamp detects in-place eviction.
    The re-intern may itself evict; the id it returns is always valid
-   in the rows array it leaves behind. *)
+   in the rows it leaves behind. *)
 let revalidate s =
   let t = s.eng in
-  if t.bypass then begin
-    if s.cur > dead_id then s.cur <- bypass_live;
-    s.epoch <- t.epoch
-  end
-  else begin
-    if s.cur = bypass_live then begin
-      (* Promoted back: configurations of live sessions are nonempty
-         (an empty one would have parked on [dead_id]), so this
-         re-intern lands on a real row. *)
-      s.cur <- intern_id t s.cur_cfg;
-      s.epoch <- t.epoch
-    end
-    else if s.epoch <> t.epoch then begin
-      if s.cur > dead_id then s.cur <- intern_id t s.cur_cfg;
-      s.epoch <- t.epoch
-    end
-    else if s.cur > dead_id && t.stamps.(s.cur) <> s.stamp then
-      s.cur <- intern_id t s.cur_cfg;
-    s.stamp <- t.stamps.(s.cur)
-  end
+  let stale =
+    s.epoch <> t.epoch || (s.cur > dead_id && t.stamps.(s.cur) <> s.stamp)
+  in
+  if stale && s.cur > dead_id then
+    s.cur <- intern t s.key (Array.length s.key) ~copy:false;
+  s.epoch <- t.epoch;
+  s.stamp <- t.stamps.(s.cur)
 
-(* The one session loop, cached or demoted alike: [step] dispatches on
-   the engine mode, and the session carries its configuration beside
-   the id so it can cross a demotion or promotion between feeds. *)
-let feed s chunk =
+let feed_cached s chunk =
   let t = s.eng in
   revalidate s;
   let z = t.z in
@@ -826,7 +748,7 @@ let feed s chunk =
   let nc = Array.length cands in
   let ci = ref 0 in
   let base = s.pos in
-  let cur = ref s.cur and cfg = ref s.cur_cfg in
+  let cur = ref s.cur in
   let i = ref 0 in
   while !i < len do
     if use_pf && !cur = dead_id then begin
@@ -842,8 +764,7 @@ let feed s chunk =
       (* Any continuation invalidates matches that were waiting for
          end-of-stream. *)
       s.pending_end <- [];
-      cur := step t !cur !cfg (cls !i);
-      if !cur = bypass_live then cfg := t.last_cfg;
+      cur := step t !cur (cls !i);
       let ms = t.last_edge in
       for j = 0 to Array.length ms - 1 do
         let f = ms.(j) in
@@ -855,14 +776,34 @@ let feed s chunk =
   done;
   s.pos <- base + len;
   s.cur <- !cur;
-  s.cur_cfg <- cfg_of t !cur !cfg;
+  s.key <- t.keys.(!cur);
   (* A miss inside this chunk may have evicted; the id we hold was
      minted (or revalidated) afterwards, so resync the epoch and the
      slot stamp rather than re-intern. *)
   s.epoch <- t.epoch;
-  if !cur >= 0 then s.stamp <- t.stamps.(!cur);
+  s.stamp <- t.stamps.(!cur);
   List.rev !acc
 
+(* A session follows its engine's mode, converting between feeds: a
+   demoted engine hands the chunk to the session's own kernel scan, a
+   cached one walks the memo rows. *)
+let feed s chunk =
+  let t = s.eng in
+  (match s.scan with
+  | Some sc when not t.bypass -> leave_scan s sc
+  | None when t.bypass ->
+      s.scan <-
+        Some
+          (Imfant.session_of_config t.im s.key ~pos:s.pos
+             ~pending_end:s.pending_end)
+  | _ -> ());
+  match s.scan with
+  | Some sc ->
+      count_demoted t (String.length chunk);
+      Imfant.feed sc chunk
+  | None -> feed_cached s chunk
+
 let finish s =
-  List.sort Int.compare s.pending_end
-  |> List.map (fun j -> { fsa = j; end_pos = s.pos })
+  match s.scan with
+  | Some sc -> Imfant.finish sc
+  | None -> List.rev_map (fun j -> { fsa = j; end_pos = s.pos }) s.pending_end

@@ -7,32 +7,34 @@
     tiny and repeats across millions of positions. This engine
     memoizes that work. A {e configuration} is the entire runtime
     state of iMFAnt at one input position — the map from active
-    states to their activation sets [J(q)] — represented canonically
-    (states ascending, one belonging bitset each) and {e hash-consed}
-    so equal configurations share one integer id. For every
-    (configuration, byte) pair seen, the successor configuration and
-    the set of FSAs that match on that edge are computed once with
-    the NFA fallback and cached; from then on, processing that byte
-    in that configuration is a table lookup.
+    states to their activation sets [J(q)] — interned in iMFAnt's flat
+    form (states ascending, each followed by its activation words, one
+    [int array]) so equal configurations share one integer id. For
+    every (configuration, byte class) pair seen, the successor
+    configuration and the set of FSAs that match on that edge are
+    computed once and cached; from then on, processing that byte in
+    that configuration is a table lookup.
 
-    The fallback walks only the {e active} states' outgoing arcs
-    through the CSR layout of {!Imfant.csr} — O(active arcs), not
-    O(byte-enabled transitions) — so even a cold cache tracks the
-    input's real activity. The cache is bounded: a full cache evicts
-    exactly {e one} configuration — second-chance (clock) over the
-    memo rows, reusing the victim's slot in place — instead of
-    dropping the whole table. Memoised successor ids are validated
-    with per-slot mint stamps, so a stale pointer into a reused slot
-    reads as a miss, never as a wrong answer. The capacity
+    A cache miss is one call of iMFAnt's step kernel
+    ({!Imfant.config_step}) from the row's configuration; the
+    successor is hashed and compared in place and copied into a new
+    key only when it is new. The memo rows are flat int arrays, so a
+    miss that lands on a known configuration, or reuses an evicted
+    slot, allocates nothing beyond a new key. The cache is bounded: a
+    full cache evicts exactly {e one} configuration — second-chance
+    (clock) over the memo rows, reusing the victim's slot in place —
+    instead of dropping the whole table. Memoised successor ids are
+    validated with per-slot mint stamps, so a stale pointer into a
+    reused slot reads as a miss, never as a wrong answer. The capacity
     additionally adapts to observed eviction pressure, growing up to
     8x the configured size while the working set keeps displacing
     itself and shrinking back only when the cache runs hot with at
     most half its capacity occupied (so a shrink never evicts a
     resident working set). Rulesets whose configuration space churns
-    faster than even the grown cache can hold degrade to pure NFA
-    simulation plus hashing overhead; {!stats} makes that visible, and
+    faster than even the grown cache can hold cost iMFAnt's step plus
+    hashing on nearly every byte; {!stats} makes that visible, and
     {!demote} (the [auto:] planner's escape hatch) turns the engine
-    into exactly that NFA simulation without the hashing.
+    into a plain iMFAnt scan.
 
     Matches are reported identically to {!Imfant}: unanchored
     matching, per-FSA [^]/[$] flags honoured, non-empty matches, one
@@ -50,7 +52,9 @@ type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
 type stats = {
   steps : int;  (** Input bytes processed since compile. *)
   hits : int;  (** Steps answered by the memo table alone. *)
-  misses : int;  (** Steps that ran the NFA fallback. *)
+  misses : int;
+      (** Steps that ran iMFAnt's step kernel: cache misses, plus
+          every byte stepped while demoted. *)
   configs_interned : int;
       (** Configurations interned since compile, cumulative across
           flushes and evictions. *)
@@ -69,10 +73,10 @@ type stats = {
           that base. A gauge, not a counter. *)
   grows : int;  (** Times the adaptive band doubled the capacity. *)
   shrinks : int;  (** Times the adaptive band halved the capacity. *)
-  demotions : int;  (** Times {!demote} engaged the NFA bypass. *)
+  demotions : int;  (** Times {!demote} turned the engine into iMFAnt. *)
   cache_bytes : int;
       (** Approximate resident cache footprint: memo rows, interned
-          configurations and per-edge match lists. *)
+          configurations, the intern index and per-edge match sets. *)
   skipped_bytes : int;
       (** Input bytes the literal prefilter let the engine jump over
           while in the dead configuration. *)
@@ -130,7 +134,7 @@ val reset_stats : t -> unit
 val flush : t -> unit
 (** Drop every dynamically interned configuration, return the
     capacity to its configured base, and bump the epoch: the next
-    step from any configuration takes the NFA fallback path again.
+    step from any configuration is a cache miss again.
     Outstanding sessions survive (they re-intern their
     configuration). Counts as a flush in {!stats}; combined with
     {!reset_stats} it returns the engine to its freshly-compiled
@@ -140,20 +144,20 @@ val flush : t -> unit
 (** {2 Demotion}
 
     The [auto:] planner's online escape hatch. A demoted engine stops
-    using (and paying for) the memo cache entirely: every step is the
-    NFA fallback from the explicit configuration — operationally
-    iMFAnt with the hybrid's reporting plumbing. Streaming sessions
-    carry their configuration across both transitions, so no session
-    loses its position, activation state or pending end-anchored
-    matches. *)
+    using (and paying for) the memo cache entirely and is a plain
+    iMFAnt scan: batch calls run {!Imfant}'s own pass, and each
+    streaming session steps a kernel scan it owns. A session converts
+    its configuration to and from the interned form only when the
+    engine changes mode between two of its feeds, so no session loses
+    its position, activation state or pending end-anchored matches. *)
 
 val demote : t -> unit
-(** Engage the NFA bypass (idempotent). Frees the cache (counts as a
-    flush) and counts a demotion in {!stats}. *)
+(** Become a plain iMFAnt scan (idempotent). Frees the cache (counts
+    as a flush) and counts a demotion in {!stats}. *)
 
 val promote : t -> unit
-(** Leave the bypass: steps go back through the (empty, to-be-refilled)
-    memo cache. Idempotent. *)
+(** Go back through the (empty, to-be-refilled) memo cache.
+    Idempotent. *)
 
 val demoted : t -> bool
 
@@ -173,9 +177,8 @@ val run_chunk :
     [input.[start..stop-1]] only. Starts from the position-0
     configuration when [start = 0] and from the dead configuration
     otherwise; end-anchored matches only fire at the global end of
-    input. The returned carry aliases the interned row's hash-consed
-    bitsets — immutable, but the engine itself must still not be
-    shared across domains. *)
+    input. The returned carry is freshly built. Demoted, this is
+    {!Imfant.run_chunk}. *)
 
 (** {2 Streaming}
 

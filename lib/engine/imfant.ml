@@ -22,20 +22,12 @@ type t = {
   trans_by_cls : int array array;
       (* [trans_by_cls.(cls)] = transition indices enabled by every
          byte of class cls. *)
-  csr : (int array * int array) Lazy.t;
-      (* Row-indexed CSR (off, tr) over (state, class) cells: the
-         transitions leaving state q on class cls are
-         [tr.(off.(q*k+cls) .. off.(q*k+cls+1)-1)]; [off] has length
-         n_states*k+1. Only the hybrid engine's miss path reads it,
-         and the offset array costs 8*k bytes per state, so it is
-         built on first force — imfant-only users (notably Live,
-         which recompiles an engine per generation) never pay it. *)
   prefilter : Prefilter.t option;
       (* Literal prefilter, when tuned on and every unanchored rule
          has a usable mandatory prefix set. *)
   init_unanch : Bitset.t array;
       (* Per-state initial sets at positions > 0, as sets: the table
-         bundle's and the hybrid's view. The kernel reads [i_unanch]. *)
+         bundle's view. The kernel reads [i_unanch]. *)
   (* Word-major activation tables: every FSA set is [nw] consecutive
      words of one flat int array, so the step kernel indexes words
      directly instead of chasing one record per set. *)
@@ -60,39 +52,6 @@ type t = {
 type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
 
 type stats = { positions : int; avg_active : float; max_active : int }
-
-(* CSR by (source state, class): counting sort of the same entries
-   trans_by_cls holds, keyed by row(t)*k+cls instead of cls. *)
-let make_csr (z : Mfsa.t) k class_of =
-  lazy
-    (let nt = Mfsa.n_transitions z in
-     let n_cells = z.Mfsa.n_states * k in
-     let csr_off = Array.make (n_cells + 1) 0 in
-     let stamp = Array.make k (-1) in
-     let each_cell f =
-       for t = 0 to nt - 1 do
-         let base = z.Mfsa.row.(t) * k in
-         Charclass.iter
-           (fun c ->
-             let cl = Char.code (Bytes.get class_of (Char.code c)) in
-             if stamp.(cl) <> t then begin
-               stamp.(cl) <- t;
-               f t (base + cl)
-             end)
-           z.Mfsa.idx.(t)
-       done;
-       Array.fill stamp 0 k (-1)
-     in
-     each_cell (fun _ cell -> csr_off.(cell + 1) <- csr_off.(cell + 1) + 1);
-     for cell = 0 to n_cells - 1 do
-       csr_off.(cell + 1) <- csr_off.(cell + 1) + csr_off.(cell)
-     done;
-     let csr_tr = Array.make csr_off.(n_cells) 0 in
-     let cursor = Array.copy csr_off in
-     each_cell (fun t cell ->
-         csr_tr.(cursor.(cell)) <- t;
-         cursor.(cell) <- cursor.(cell) + 1);
-     (csr_off, csr_tr))
 
 let bpw = Bitset.bits_per_word
 
@@ -130,7 +89,7 @@ let inits_of nw all keep =
 (* Everything the step kernel reads, in O((transitions + states) × nw)
    word copies and masks — cheap enough for both the compile and the
    table-adoption paths, so artifacts need not store it. *)
-let assemble (z : Mfsa.t) ~tuning ~k ~class_of ~trans_by_cls ~csr ~prefilter
+let assemble (z : Mfsa.t) ~tuning ~k ~class_of ~trans_by_cls ~prefilter
     ~init_unanch =
   let nw = Array.length (Bitset.words (Bitset.create z.Mfsa.n_fsas)) in
   let all = flatten nw z.Mfsa.init_sets in
@@ -148,7 +107,6 @@ let assemble (z : Mfsa.t) ~tuning ~k ~class_of ~trans_by_cls ~csr ~prefilter
     k;
     class_of;
     trans_by_cls;
-    csr;
     prefilter;
     init_unanch;
     nw;
@@ -197,7 +155,6 @@ let compile (z : Mfsa.t) =
     z.Mfsa.anchored_start;
   assemble z ~tuning ~k ~class_of
     ~trans_by_cls:(Array.map Vec.to_array by_cls)
-    ~csr:(make_csr z k class_of)
     ~prefilter:(if tuning.Tuning.prefilter then Prefilter.analyze z else None)
     ~init_unanch
 
@@ -205,10 +162,6 @@ let of_tables (tb : Tables.t) =
   let z = tb.Tables.z in
   assemble z ~tuning:tb.Tables.tuning ~k:tb.Tables.n_classes
     ~class_of:tb.Tables.class_of ~trans_by_cls:tb.Tables.trans_by_cls
-    ~csr:
-      (match tb.Tables.csr with
-      | Some csr -> Lazy.from_val csr
-      | None -> make_csr z tb.Tables.n_classes tb.Tables.class_of)
     ~prefilter:tb.Tables.prefilter ~init_unanch:tb.Tables.init_unanch
 
 let export_tables t =
@@ -218,7 +171,6 @@ let export_tables t =
     n_classes = t.k;
     class_of = t.class_of;
     trans_by_cls = t.trans_by_cls;
-    csr = Some (Lazy.force t.csr);
     init_unanch = t.init_unanch;
     prefilter = t.prefilter;
   }
@@ -226,10 +178,6 @@ let export_tables t =
 let mfsa t = t.z
 
 let tuning t = t.tuning
-
-let csr t = Lazy.force t.csr
-
-let init_tables t = (t.z.Mfsa.init_sets, t.init_unanch)
 
 let n_classes t = t.k
 
@@ -344,6 +292,85 @@ let swap sc =
 
 let class_at t input i =
   Char.code (Bytes.unsafe_get t.class_of (Char.code (String.unsafe_get input i)))
+
+(* ------------------------------------------------ Configurations *)
+
+(* A flat configuration lists the active states ascending, each
+   followed by its [nw] activation words: the form the lazy DFA
+   ({!Hybrid}) interns, and the one sessions convert through. *)
+
+(* Make flat configuration [cfg] the scan's current one. Advancing
+   [gen] by two stales every stamp on either side of the scan. *)
+let load t sc cfg =
+  let nw = t.nw in
+  sc.gen <- sc.gen + 2;
+  let p = ref 0 in
+  while !p < Array.length cfg do
+    let q = cfg.(!p) in
+    sc.cur_stamp.(q) <- sc.gen;
+    for w = 0 to nw - 1 do
+      sc.cur.((q * nw) + w) <- cfg.(!p + 1 + w)
+    done;
+    p := !p + 1 + nw
+  done
+
+(* Write the states stamped [g] in [stamp], with their sets from
+   [words], to [out] in flat form; returns the length written. *)
+let compact t words (stamp : int array) g out =
+  let nw = t.nw in
+  let n = ref 0 in
+  for q = 0 to t.z.Mfsa.n_states - 1 do
+    if Array.unsafe_get stamp q = g then begin
+      out.(!n) <- q;
+      for w = 0 to nw - 1 do
+        out.(!n + 1 + w) <- words.((q * nw) + w)
+      done;
+      n := !n + 1 + nw
+    end
+  done;
+  !n
+
+let flat_buffer t = Array.make (t.z.Mfsa.n_states * (1 + t.nw)) 0
+
+type stepper = {
+  sc : scan;
+  next : int array;
+  mutable next_len : int;
+  matched : int array;
+  mutable n_matched : int;
+}
+
+let stepper t =
+  {
+    sc = scan_create t;
+    next = flat_buffer t;
+    next_len = 0;
+    matched = Array.make t.z.Mfsa.n_fsas 0;
+    n_matched = 0;
+  }
+
+(* One kernel step from an explicit configuration, the successor
+   compacted into [next] and the matched FSAs listed ascending in
+   [matched]. Allocates nothing. *)
+let config_step t sp cfg cls ~at_start =
+  let sc = sp.sc in
+  load t sc cfg;
+  ignore (step t sc cls (if at_start then t.i_all else t.i_unanch));
+  sp.next_len <- compact t sc.nxt sc.nxt_stamp (sc.gen + 1) sp.next;
+  let macc = sc.macc and m = ref 0 in
+  for w = 0 to t.nw - 1 do
+    let x = macc.(w) in
+    if x <> 0 then begin
+      macc.(w) <- 0;
+      for b = 0 to bpw - 1 do
+        if x land (1 lsl b) <> 0 then begin
+          sp.matched.(!m) <- (w * bpw) + b;
+          incr m
+        end
+      done
+    end
+  done;
+  sp.n_matched <- !m
 
 (* Distinct FSAs active in the current configuration (Table II),
    gathered into the scratch set [acc]. *)
@@ -479,18 +506,20 @@ type carry = int array * Bitset.t array
 
 let empty_carry : carry = ([||], [||])
 
-let carry_of_scan t sc : carry =
-  let states = Vec.create () in
-  for q = 0 to t.z.Mfsa.n_states - 1 do
-    if sc.cur_stamp.(q) = sc.gen then Vec.push states q
-  done;
-  let cs = Vec.to_array states in
-  let set q =
-    let b = Bitset.create t.z.Mfsa.n_fsas in
-    Array.blit sc.cur (q * t.nw) (Bitset.words b) 0 t.nw;
-    b
-  in
-  (cs, Array.map set cs)
+let carry_of_config t cfg : carry =
+  let nw = t.nw in
+  let m = Array.length cfg / (1 + nw) in
+  ( Array.init m (fun i -> cfg.(i * (1 + nw))),
+    Array.init m (fun i ->
+        let b = Bitset.create t.z.Mfsa.n_fsas in
+        Array.blit cfg ((i * (1 + nw)) + 1) (Bitset.words b) 0 nw;
+        b) )
+
+let config_of_scan t sc =
+  let out = flat_buffer t in
+  Array.sub out 0 (compact t sc.cur sc.cur_stamp sc.gen out)
+
+let carry_of_scan t sc = carry_of_config t (config_of_scan t sc)
 
 let scan_of_carry t ((cs, sets) : carry) =
   let sc = scan_create t in
@@ -525,8 +554,8 @@ let carry_step t carry input ~start ~stop ~on_match =
   (carry_of_scan t sc, !i - start)
 
 (* Pointwise union of two boundary configurations (local chunk carry ∪
-   stepped carry-in). Never mutates either argument's sets — the local
-   side may alias a hybrid replica's interned rows. *)
+   stepped carry-in). Never mutates either argument's sets — the result
+   may share them. *)
 let carry_union ((s1, b1) : carry) ((s2, b2) : carry) : carry =
   let n1 = Array.length s1 and n2 = Array.length s2 in
   if n1 = 0 then (s2, b2)
@@ -575,6 +604,15 @@ type session = {
 }
 
 let session eng = { eng; sc = scan_create eng; pos = 0; pending_end = [] }
+
+let session_of_config eng cfg ~pos ~pending_end =
+  let sc = scan_create eng in
+  load eng sc cfg;
+  { eng; sc; pos; pending_end }
+
+let config_of_session s = config_of_scan s.eng s.sc
+
+let pending_end s = s.pending_end
 
 let reset s =
   Array.fill s.sc.cur_stamp 0 (Array.length s.sc.cur_stamp) (-1);

@@ -52,17 +52,15 @@ val of_tables : Tables.t -> t
 (** Adopt a pre-derived table bundle (an artifact load, or another
     engine's export) in O(size of the tables): nothing is re-derived
     except the flat activation words the step kernel reads (word
-    copies, O((transitions + states) × ⌈fsas/62⌉)), and the CSR index
-    stays lazy when the bundle omits it. The bundle's recorded
+    copies, O((transitions + states) × ⌈fsas/62⌉)). The bundle's recorded
     {!Tables.t.tuning} is baked in — the current global tuning is not
     consulted. The bundle's arrays are shared, not copied: they must
     not be mutated afterwards. *)
 
 val export_tables : t -> Tables.t
 (** The complete compiled state minus mutable scratch, for the
-    artifact layer. Forces the lazy CSR index (artifacts exist to make
-    loads cheap, so the expensive derivations are all materialised).
-    [of_tables (export_tables t)] behaves exactly like [t]. *)
+    artifact layer. [of_tables (export_tables t)] behaves exactly like
+    [t]. *)
 
 val mfsa : t -> Mfsa_model.Mfsa.t
 (** The underlying automaton. *)
@@ -156,25 +154,63 @@ val reset : session -> unit
 val position : session -> int
 (** Bytes consumed so far. *)
 
+(** {2 Configurations}
+
+    The lazy-DFA engine ({!Hybrid}) memoises this kernel over whole
+    configurations. A configuration in {e flat form} is one
+    [int array]: the active states in ascending order, each followed
+    by its ⌈fsas/62⌉ activation words (bit [b] of word [w] is FSA
+    [62w + b]). Two configurations are equal iff their flat forms are
+    equal as int arrays. *)
+
+type stepper = private {
+  sc : scan;  (** The kernel's state vector the step runs on. *)
+  next : int array;
+      (** After {!config_step}: the successor configuration in flat
+          form, in [next.(0 .. next_len - 1)]. *)
+  mutable next_len : int;  (** [0] when the successor is empty. *)
+  matched : int array;
+      (** After {!config_step}: the FSAs that matched on the step,
+          ascending, in [matched.(0 .. n_matched - 1)]. *)
+  mutable n_matched : int;
+}
+(** Scratch for {!config_step}, allocated once. Not to be shared
+    across domains. *)
+
+and scan
+(** The kernel's state vector. *)
+
+val stepper : t -> stepper
+
+val config_step : t -> stepper -> int array -> int -> at_start:bool -> unit
+(** [config_step t sp cfg cls ~at_start] runs the step kernel once
+    from flat configuration [cfg] on one byte of class [cls] (see
+    {!class_of}), injecting the position-0 initial sets when
+    [at_start] and the unanchored ones otherwise. The result is left
+    in [sp]'s [next] and [matched] buffers, overwriting the previous
+    call's. Allocates nothing. *)
+
+val carry_of_config : t -> int array -> carry
+(** The same configuration as a {!carry}. *)
+
+val session_of_config :
+  t -> int array -> pos:int -> pending_end:int list -> session
+(** A session standing at stream position [pos] in flat configuration
+    [cfg] (as if it had consumed [pos] bytes), with the end-anchored
+    FSAs [pending_end] (descending) matched exactly at [pos] and
+    awaiting {!finish}. *)
+
+val config_of_session : session -> int array
+(** The session's current configuration in flat form. *)
+
+val pending_end : session -> int list
+(** The end-anchored FSAs matched exactly at {!position}, descending;
+    {!finish} reports them unless the stream continues. *)
+
 (** {2 Compiled tables}
 
     Read-only views into the compiled representation, consumed by the
-    lazy-DFA engine ({!Hybrid}) whose cache-miss path simulates the
-    MFSA one configuration at a time. *)
-
-val csr : t -> int array * int array
-(** [(off, tr)]: row-indexed CSR over (state, class) cells, where the
-    class alphabet is the one reported by {!n_classes}/{!class_of}.
-    The transitions leaving state [q] on class [cls] are
-    [tr.(off.(q*k+cls)) .. tr.(off.(q*k+cls+1) - 1)], in transition
-    order. [off] has length [n_states*k + 1]. Built lazily on the
-    first call ({!Hybrid.of_imfant} forces it) — imfant-only users
-    should not pay for it. Must not be mutated. *)
-
-val init_tables : t -> Mfsa_util.Bitset.t array * Mfsa_util.Bitset.t array
-(** [(init_all, init_unanch)]: per-state initial FSA sets at position
-    0 and at positions > 0 (start-anchored FSAs removed). Built once
-    by {!compile}; must not be mutated. *)
+    lazy-DFA engine ({!Hybrid}). *)
 
 val n_classes : t -> int
 (** Size of the byte-class alphabet the tables are indexed by (256

@@ -19,9 +19,11 @@ type features = {
    - The hybrid wins whenever the literal prefilter engages: the memo
      cache then only sees the hot regions, where configurations
      repeat heavily, and the adaptive capacity absorbs the resident
-     working set (5–35x over iMFAnt on BRO/DS9/PEN/RG1/TCP). Static
-     automaton size does {e not} predict cacheability — PRO's 86
-     merged states explode into a ~44k-configuration working set
+     working set. Cold at scale 1.0, its 2 KiB-feed sessions run
+     1.5–5x over iMFAnt's on BRO/DS9/PEN/RG1; TCP's working set churns
+     and holds it to 0.5x (EXPERIMENTS.md), the case [demote] is for.
+     Static automaton size does {e not} predict cacheability — PRO's
+     86 merged states explode into a ~44k-configuration working set
      while TCP's 119 states stay under 24k and cache fully — so no
      state bound gates the choice; a ruleset whose configurations
      churn past even the grown cache is caught online by the
@@ -31,8 +33,8 @@ type features = {
      cheap, and the merged automaton is small enough to determinise
      per projection (PRO).
    - Otherwise the merged transition-centric engine is the safe
-     choice: it is never pathological, and [demote] makes the hybrid
-     converge to it anyway. *)
+     choice: it is never pathological, and the demoted hybrid is an
+     iMFAnt scan. *)
 let dfa_max_fsas = 64
 
 let dfa_max_states = 4096
@@ -49,9 +51,8 @@ let choose_tables f = if f.f_prefilter then "hybrid" else "imfant"
 
 (* Online escape hatch: a hybrid whose windowed hit rate stays below
    [demote_below_rate] over [demote_window] steps is churning faster
-   than even the adaptively grown cache can absorb — demote it to
-   pure NFA stepping (operationally iMFAnt; sessions keep their
-   state). *)
+   than even the adaptively grown cache can absorb — demote it; the
+   demoted hybrid is an iMFAnt scan, and sessions keep their state. *)
 let demote_window = 1 lsl 16
 
 let demote_below_rate = 0.5

@@ -208,7 +208,8 @@ module Hybrid_engine : Engine_sig.S with type compiled = Hybrid.t = struct
         "mfsa_engine_steps_total" s.Hybrid.steps;
       Snapshot.counter_i ~labels ~help:"Memoised steps"
         "mfsa_engine_cache_hits_total" s.Hybrid.hits;
-      Snapshot.counter_i ~labels ~help:"Steps taking the NFA fallback path"
+      Snapshot.counter_i ~labels
+        ~help:"Steps run through the iMFAnt step kernel (misses, and every demoted byte)"
         "mfsa_engine_cache_misses_total" s.Hybrid.misses;
       Snapshot.gauge ~labels ~help:"hits / steps since the last reset"
         "mfsa_engine_cache_hit_ratio" hit_rate;
@@ -231,7 +232,7 @@ module Hybrid_engine : Engine_sig.S with type compiled = Hybrid.t = struct
         ~help:"Adaptive capacity halvings on a hot cache"
         "mfsa_engine_cache_shrinks_total" s.Hybrid.shrinks;
       Snapshot.counter_i ~labels
-        ~help:"Demotions to pure NFA stepping (planner escape hatch)"
+        ~help:"Demotions to a plain iMFAnt scan (planner escape hatch)"
         "mfsa_engine_demotions_total" s.Hybrid.demotions;
       Snapshot.gauge_i ~labels ~help:"Approximate cache footprint"
         "mfsa_engine_cache_bytes" s.Hybrid.cache_bytes;
@@ -647,8 +648,8 @@ end
    the planned engine's adapter. When the plan is [hybrid] it keeps a
    typed handle on the engine and watches the windowed cache hit rate
    after every batch call and chunk: sustained churn demotes the
-   hybrid to pure NFA stepping ({!Hybrid.demote} — operationally
-   iMFAnt, sessions keep their state). Stats are the inner engine's
+   hybrid ({!Hybrid.demote}), and the demoted hybrid is an iMFAnt
+   scan whose sessions keep their state. Stats are the inner engine's
    series relabelled [engine="auto"], plus the planner's own series
    (what was planned, what is active, and the features that decided). *)
 module Auto_engine : Engine_sig.S = struct

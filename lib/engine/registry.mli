@@ -32,9 +32,9 @@
       ["hybrid"] or ["dfa"] per ruleset from static compile-time
       features (literal coverage, rule count, merged size), then
       delegates; when the plan was ["hybrid"] it monitors the
-      windowed cache hit rate online and {!Hybrid.demote}s to pure
-      NFA stepping on sustained churn — sessions keep their state
-      across the demotion. Its stats are the inner engine's series
+      windowed cache hit rate online and {!Hybrid.demote}s it to a
+      plain iMFAnt scan on sustained churn — sessions keep their
+      state across the demotion. Its stats are the inner engine's series
       relabelled [engine="auto"] plus [mfsa_engine_planner_*].
 
     The per-rule baselines satisfy the streaming half of the signature

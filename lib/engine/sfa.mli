@@ -52,9 +52,8 @@ type t
 
 val compile : spec -> inner:string -> Mfsa_model.Mfsa.t -> t
 (** Raises [Invalid_argument] on an invalid spec or an inner engine
-    other than imfant/hybrid. The hybrid inner forces the CSR index
-    up front (a lazy thunk must not race across domains); the imfant
-    join needs only the step kernel's eagerly built tables. *)
+    other than imfant/hybrid. Every table either inner reads is
+    built eagerly, so replicas share them across domains. *)
 
 val of_tables : spec -> inner:string -> Tables.t -> t
 

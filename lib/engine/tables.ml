@@ -11,7 +11,6 @@ type t = {
   n_classes : int;
   class_of : bytes;
   trans_by_cls : int array array;
-  csr : (int array * int array) option;
   init_unanch : Bitset.t array;
   prefilter : Prefilter.t option;
 }

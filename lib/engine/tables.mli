@@ -4,8 +4,8 @@
     transition-centric engine ({!Imfant}) minus its mutable scratch:
     the automaton, the hot-loop tuning that was in force when the
     tables were derived, the byte-class alphabet, the class-indexed
-    transition tables, the (state, class) CSR index, the activation
-    (init) table for unanchored positions, and the literal prefilter.
+    transition tables, the activation (init) table for unanchored
+    positions, and the literal prefilter.
     {!Imfant.export_tables} produces one; {!Imfant.of_tables} and
     {!Hybrid.of_tables} adopt one in O(size of the tables) — no
     re-derivation, which is what makes artifact loading cheap.
@@ -23,11 +23,8 @@ type t = {
   class_of : bytes;  (** 256-entry byte → class map. *)
   trans_by_cls : int array array;
       (** Per class, the transition indices its bytes enable. *)
-  csr : (int array * int array) option;
-      (** [(off, tr)] row-indexed by (state, class) — see
-          {!Imfant.csr}. [None] means "derive lazily on demand". *)
   init_unanch : Mfsa_util.Bitset.t array;
       (** Per-state initial FSA sets at positions > 0 (start-anchored
-          FSAs removed) — the activation table of {!Imfant.init_tables}. *)
+          FSAs removed). *)
   prefilter : Prefilter.t option;
 }

@@ -13,7 +13,7 @@
     - [prefilter]: build an Aho–Corasick prefilter over required
       literal prefixes ({!Prefilter}) and skip cold regions. Only
       engages when every unanchored rule has a usable prefix set.
-    - [cache_size]: base capacity of the hybrid engine's hash-consed
+    - [cache_size]: base capacity of the hybrid engine's interned
       configuration cache, in rows. The adaptive sizing bands grow the
       live capacity up to 8x this base under churn and shrink it back
       when the cache runs hot; artifacts snapshot the value so a

@@ -209,6 +209,28 @@ for series in mfsa_engine_planner_choice mfsa_engine_planner_literal_share \
   grep -q "^$series" "$tmp/metrics_auto.prom" || {
     echo "ci: auto-engine exposition is missing $series" >&2; exit 1; }
 done
+# The demo stream is too short for the planner's monitor window, so a
+# second auto scrape runs 256 KiB of generated TCP traffic: the planned
+# hybrid's cache churns and the monitor demotes it to an iMFAnt scan.
+# The body must stay well-formed, show the demotion and the active
+# engine, and the match total must equal iMFAnt's.
+dune exec bin/mfsa_dataset.exe -- TCP -r "$tmp/tcp.txt" -s "$tmp/tcp.bin" \
+  --stream-kb 256 > /dev/null
+dune exec bin/mfsa_match.exe -- --engine auto \
+  --rules "$tmp/tcp.txt" "$tmp/tcp.bin" --metrics > "$tmp/metrics_demote.prom"
+check_prom "$tmp/metrics_demote.prom"
+awk '/^mfsa_engine_demotions_total/ { n += $2 } END { exit !(n >= 1) }' \
+  "$tmp/metrics_demote.prom" || {
+  echo "ci: auto did not demote on the TCP stream" >&2; exit 1; }
+grep -q '^mfsa_engine_planner_choice{active="imfant"' "$tmp/metrics_demote.prom" || {
+  echo "ci: the demoted auto engine does not report imfant active" >&2; exit 1; }
+for e in auto imfant; do
+  dune exec bin/mfsa_match.exe -- --engine "$e" \
+    --rules "$tmp/tcp.txt" "$tmp/tcp.bin" | grep '^total:' | sed 's/ in .*//' \
+    > "$tmp/total_$e.txt"
+done
+diff "$tmp/total_auto.txt" "$tmp/total_imfant.txt" || {
+  echo "ci: the demoted auto engine diverged from imfant on TCP" >&2; exit 1; }
 # A third scrape through the sfa{..} wrapper (threshold 1 forces the
 # chunked path even on the demo stream): the split/join series must
 # all expose and the body must stay well-formed.

@@ -56,9 +56,13 @@ let test_round_trip_structure () =
       Alcotest.(check int) "fsas" z.Mfsa.n_fsas z'.Mfsa.n_fsas;
       Alcotest.(check int) "transitions" (Mfsa.n_transitions z)
         (Mfsa.n_transitions z');
-      Alcotest.(check (array string)) "patterns" z.Mfsa.patterns z'.Mfsa.patterns;
-      Alcotest.(check bool) "csr persisted" true (tb.Tables.csr <> None))
-    mfsas loaded
+      Alcotest.(check (array string)) "patterns" z.Mfsa.patterns z'.Mfsa.patterns)
+    mfsas loaded;
+  let info = Artifact.describe_string (Artifact.to_string (Artifact.export mfsas)) in
+  Alcotest.(check bool) "a fresh export has no CSR section" false
+    (List.exists
+       (fun si -> String.starts_with ~prefix:"CSR" si.Artifact.si_name)
+       info.Artifact.in_sections)
 
 let test_save_load_file () =
   let path = Filename.temp_file "mfsa_artifact" ".mfsa" in

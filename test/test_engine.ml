@@ -219,6 +219,31 @@ let test_imfant_no_alloc_per_byte () =
   in
   if wpb >= 1. then Alcotest.failf "feed: %.2f minor words per byte" wpb
 
+(* The same pin on the lazy DFA: a demoted hybrid's session steps its
+   own kernel scan, and a warm cached one only follows memo rows, so
+   neither allocates per byte on a match-free chunk. *)
+let test_hybrid_no_alloc_per_byte () =
+  let eng = Lazy.force multiword in
+  let chunk = lcg_input "abc" 4096 in
+  let words_per_byte s =
+    let feed () = check Alcotest.int "match-free" 0 (List.length (Hy.feed s chunk)) in
+    feed ();
+    let w0 = Gc.minor_words () in
+    feed ();
+    (Gc.minor_words () -. w0) /. 4096.
+  in
+  let demoted = Hy.of_imfant eng in
+  Hy.demote demoted;
+  let wpb = words_per_byte (Hy.session demoted) in
+  if wpb >= 1. then Alcotest.failf "demoted feed: %.2f minor words per byte" wpb;
+  let warm = Hy.of_imfant eng in
+  let s = Hy.session warm in
+  for _ = 1 to 4 do
+    ignore (Hy.feed s chunk)
+  done;
+  let wpb = words_per_byte s in
+  if wpb >= 1. then Alcotest.failf "warm feed: %.2f minor words per byte" wpb
+
 (* -------------------------------------------------------- Streaming *)
 
 let events_list l = List.map (fun e -> (e.Im.fsa, e.Im.end_pos)) l
@@ -452,6 +477,8 @@ let () =
             test_imfant_total_order_multiword;
           Alcotest.test_case "no allocation per byte" `Quick
             test_imfant_no_alloc_per_byte;
+          Alcotest.test_case "hybrid: no allocation per byte" `Quick
+            test_hybrid_no_alloc_per_byte;
         ] );
       ( "streaming",
         [

@@ -1,6 +1,6 @@
 (* Unit and property tests for the lazy-DFA hybrid engine: equivalence
    with iMFAnt (whole-string, chunk-local and streaming), bounded-cache
-   clock eviction, demotion to NFA stepping and back, and the cache
+   clock eviction, demotion to an iMFAnt scan and back, and the cache
    instrumentation. *)
 
 module P = Mfsa_frontend.Parser

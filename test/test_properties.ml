@@ -16,6 +16,7 @@ module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
 module In = Mfsa_engine.Infant
 module Im = Mfsa_engine.Imfant
+module Hy = Mfsa_engine.Hybrid
 module Anml = Mfsa_anml.Anml
 module Ast = Mfsa_frontend.Ast
 module Gen = QCheck2.Gen
@@ -241,9 +242,9 @@ let prop_mfsa_equivalence_full_alphabet =
    per set) are made distinct by a 5-letter salt, all at the front
    (every rule has a literal prefix, so the prefilter is on) or all at
    the back (no prefilter). Each batch, chunked and sessioned entry
-   point of the flat kernel must reproduce the formal-model
-   interpreter, which shares none of the engine's tables, in its
-   (end, fsa) order — unsorted. A session reports the end-anchored
+   point of the flat kernel, and of the hybrid memoising it, must
+   reproduce the formal-model interpreter, which shares none of the
+   engine's tables, in its (end, fsa) order — unsorted. A session reports the end-anchored
    matches at the end of the stream last, from [finish]. *)
 let salted_ruleset =
   let salt i =
@@ -278,25 +279,49 @@ let prop_multiword_kernel_equals_formal_model =
       let im = Im.compile z in
       let per_fsa = Array.make z.Mfsa.n_fsas 0 in
       List.iter (fun (j, _) -> per_fsa.(j) <- per_fsa.(j) + 1) expected;
-      let chunked =
-        let s = Im.session im in
-        let n = String.length input in
-        let bounds = List.sort_uniq compare (0 :: n :: List.map (fun c -> min c n) cuts) in
-        let rec feed = function
-          | a :: (b :: _ as tl) ->
-              let evs = Im.feed s (String.sub input a (b - a)) in
-              evs @ feed tl
-          | _ -> Im.finish s
-        in
-        pairs (feed bounds)
+      let n = String.length input in
+      let bounds = List.sort_uniq compare (0 :: n :: List.map (fun c -> min c n) cuts) in
+      let session_order =
+        let at_end (j, e) = e = n && z.Mfsa.anchored_end.(j) in
+        List.filter (fun ev -> not (at_end ev)) expected @ List.filter at_end expected
       in
-      pairs (Im.run im input) = expected
-      && Im.count_per_fsa im input = per_fsa
-      && chunked
-         = (let n = String.length input in
-            let at_end (j, e) = e = n && z.Mfsa.anchored_end.(j) in
-            List.filter (fun ev -> not (at_end ev)) expected
-            @ List.filter at_end expected)
+      (* Feeds the pieces between the cut points; [at_cut i] runs
+         before piece [i]. *)
+      let chunked feed finish ~at_cut =
+        let rec go i = function
+          | a :: (b :: _ as tl) ->
+              at_cut i;
+              let evs = feed (String.sub input a (b - a)) in
+              evs @ go (i + 1) tl
+          | _ -> finish ()
+        in
+        go 0 bounds
+      in
+      let im_ok =
+        let s = Im.session im in
+        pairs (Im.run im input) = expected
+        && Im.count_per_fsa im input = per_fsa
+        && pairs (chunked (Im.feed s) (fun () -> Im.finish s) ~at_cut:ignore)
+           = session_order
+      in
+      (* The flat memo keys index the same words: a hybrid that misses
+         and evicts on nearly every byte, and one demoted and promoted
+         at every cut point, must agree with the model too. *)
+      let hy_ok ~toggle hy =
+        let hpairs = List.map (fun e -> (e.Hy.fsa, e.Hy.end_pos)) in
+        let mode i = if toggle then if i mod 2 = 0 then Hy.demote hy else Hy.promote hy in
+        mode 0;
+        let run_ok = hpairs (Hy.run hy input) = expected in
+        mode 1;
+        let per_fsa_ok = Hy.count_per_fsa hy input = per_fsa in
+        let s = Hy.session hy in
+        run_ok && per_fsa_ok
+        && hpairs (chunked (Hy.feed s) (fun () -> Hy.finish s) ~at_cut:mode)
+           = session_order
+      in
+      im_ok
+      && hy_ok ~toggle:false (Hy.of_imfant ~cache_size:2 im)
+      && hy_ok ~toggle:true (Hy.of_imfant im)
       && List.for_all
            (fun domains ->
              let sf =

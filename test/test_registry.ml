@@ -383,6 +383,56 @@ let prop_engines_agree =
           = reference)
         builtins)
 
+(* The only test that drives [auto]'s own monitor: on TCP the planned
+   hybrid's cache churns, so once a monitoring window elapses it
+   demotes — exactly once — and every chunk fed afterwards still
+   reports iMFAnt's events. *)
+let test_auto_demotes_on_tcp () =
+  let ds = Option.get (Mfsa_datasets.Datasets.find ~scale:1.0 "TCP") in
+  let z =
+    match (Mfsa_core.Pipeline.compile_exn ds.rules).mfsas with
+    | [ z ] -> z
+    | _ -> assert false
+  in
+  let stream =
+    Mfsa_datasets.Stream_gen.generate ~seed:1 ~payload:ds.payload
+      ~size:(128 * 1024) ds.rules
+  in
+  let auto = Registry.compile_automaton_exn "auto" z in
+  let demotions () =
+    Mfsa_obs.Snapshot.number (Engine_sig.stats auto) "mfsa_engine_demotions_total"
+  in
+  let s = Engine_sig.session auto in
+  let before = ref [] and after = ref [] and demoted_at = ref (-1) in
+  for i = 0 to (String.length stream / 2048) - 1 do
+    let evs = Engine_sig.feed s (String.sub stream (i * 2048) 2048) in
+    if !demoted_at < 0 then begin
+      before := evs @ !before;
+      if demotions () = Some 1. then demoted_at := (i + 1) * 2048
+    end
+    else after := evs @ !after
+  done;
+  let after = !after @ Engine_sig.finish s in
+  check Alcotest.(option (float 0.)) "demoted exactly once" (Some 1.) (demotions ());
+  check Alcotest.bool "chunks fed after the demotion" true
+    (!demoted_at > 0 && !demoted_at < String.length stream);
+  check Alcotest.bool "planner reports imfant active" true
+    (Mfsa_obs.Snapshot.find
+       ~labels:[ ("engine", "auto"); ("planned", "hybrid"); ("active", "imfant") ]
+       (Engine_sig.stats auto) "mfsa_engine_planner_choice"
+    <> None);
+  let reference = Engine_sig.run (Registry.compile_automaton_exn "imfant" z) stream in
+  let since_demotion =
+    List.filter (fun e -> e.Engine_sig.end_pos > !demoted_at) reference
+  in
+  check Alcotest.bool "events after the demotion" true (since_demotion <> []);
+  check
+    Alcotest.(list (pair int int))
+    "post-demotion chunks = imfant" (events since_demotion) (events after);
+  check
+    Alcotest.(list (pair int int))
+    "whole stream = imfant" (events reference) (events (!before @ after))
+
 let () =
   Alcotest.run "registry"
     [
@@ -414,5 +464,10 @@ let () =
         [
           Alcotest.test_case "chunked = whole-string" `Quick
             test_streaming_equivalence;
+        ] );
+      ( "auto",
+        [
+          Alcotest.test_case "demotes once on TCP, then = imfant" `Quick
+            test_auto_demotes_on_tcp;
         ] );
     ]
