@@ -17,12 +17,6 @@
      and the serving benchmark and writes BENCH_engines.json and
      BENCH_serve.json for machine consumption.
 
-   - `dune exec bench/main.exe -- hotloop`: runs the hot-loop
-     optimisation on/off matrix (byte-class compression, literal
-     prefilter × iMFAnt/hybrid × every dataset),
-     prints the ablation table and writes BENCH_hotloop.json. Every
-     cell must agree with the all-off baseline's match counts.
-
    - `dune exec bench/main.exe -- serve-check`: CI smoke gate — a
      2-domain Serve pool over the BRO ruleset must agree
      byte-for-byte with direct sequential execution.
@@ -704,25 +698,6 @@ let loadgen ~engine rest =
 
 (* -------------------------------------------------- JSON export *)
 
-let write_hotloop_json rows =
-  let path = "BENCH_hotloop.json" in
-  let oc = open_out path in
-  output_string oc "[\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "  {\"dataset\": %S, \"engine\": %S, \"config\": %S, \
-         \"time_s\": %.6f, \"mb_per_s\": %.3f, \"class_count\": %d, \
-         \"skip_rate\": %.6f, \"matches\": %d, \"agree\": %b}%s\n"
-        r.E.hr_dataset r.E.hr_engine r.E.hr_config r.E.hr_time r.E.hr_mbps
-        r.E.hr_class_count r.E.hr_skip_rate r.E.hr_matches r.E.hr_agree
-        (if i = last then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote %s (%d rows)\n" path (List.length rows)
-
 let write_engines_json rows =
   let path = "BENCH_engines.json" in
   let oc = open_out path in
@@ -1132,7 +1107,6 @@ let experiments ~engines ~engine =
     ("ablation-strategy", E.ablation_strategy);
     ("ablation-bisim", E.ablation_bisim); ("baselines", E.baselines);
     ("engine-compare", fun cfg -> E.engine_compare ?engines cfg);
-    ("hotloop", E.hotloop);
     ("complexity", E.complexity); ("live-update", live_update);
     ("serve", serve_bench ~engine);
   ]
@@ -1169,12 +1143,6 @@ let () =
       write_engines_json engine_rows;
       write_serve_json serve_rows;
       write_obs_json engine_rows serve_rows
-  | [ "hotloop" ] ->
-      let cfg = E.default () in
-      let rows = E.hotloop_rows cfg in
-      print_string (E.hotloop_report cfg rows);
-      print_newline ();
-      write_hotloop_json rows
   | [ "serve-check" ] -> serve_check ~engine ()
   | [ "persist" ] -> persist_bench (E.default ())
   | [ "planner" ] -> planner_bench (E.default ())

@@ -19,56 +19,6 @@ let term ?(default = "imfant") () =
               deterministic fault injection."
              default))
 
-(* Shared hot-loop tuning flags: engines snapshot Tuning at compile
-   time, so the term *applies* the knobs as a side effect — cmdliner
-   evaluates every term before the command body runs, i.e. before any
-   compile. Yields unit. *)
-module Tuning = Mfsa_engine.Tuning
-
-let tuning_term () =
-  let no_prefilter =
-    Arg.(
-      value & flag
-      & info [ "no-prefilter" ]
-          ~doc:
-            "Disable the Aho–Corasick literal prefilter: engines scan every \
-             byte instead of skipping regions that cannot start a match. \
-             The prefilter only engages when every unanchored rule has a \
-             required literal prefix of 2+ bytes, so this flag is a no-op \
-             on rulesets where it never built.")
-  in
-  let cache_size =
-    (* Validated at parse time so a bad value is a usage error (exit
-       124 with the cmdliner message), not a compile-time raise. *)
-    let rows_conv =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 -> Ok n
-            | Some _ -> Error (`Msg "cache size must be at least 1")
-            | None -> Error (`Msg (Printf.sprintf "invalid cache size %S" s))),
-          Format.pp_print_int )
-    in
-    Arg.(
-      value
-      & opt rows_conv Tuning.default.Tuning.cache_size
-      & info [ "cache-size" ] ~docv:"ROWS"
-          ~doc:
-            (Printf.sprintf
-               "Base capacity of the hybrid engine's configuration cache, in \
-                rows (default %d). The cache sizes itself adaptively between \
-                1x and 8x this base from the observed hit rate. Snapshotted \
-                at compile time, so artifacts emitted with $(b,--emit) \
-                record it. Engines other than hybrid (and $(b,auto) when it \
-                plans hybrid) ignore it."
-               Tuning.default.Tuning.cache_size))
-  in
-  let apply no_prefilter cache_size =
-    let cur = Tuning.get () in
-    Tuning.set { cur with Tuning.prefilter = not no_prefilter; cache_size }
-  in
-  Term.(const apply $ no_prefilter $ cache_size)
-
 (* [resolve ~prog name] validates [name] against the registry.
    [Ok name] is resolvable (registered, or a well-formed faulty{..}:
    wrapper spec); [Error code] means this function already printed

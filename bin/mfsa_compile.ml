@@ -14,8 +14,7 @@ let setup_logs debug =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if debug then Logs.Debug else Logs.Warning))
 
-let run rules_file dataset m output emit verbose debug homogeneous strategy ()
-    =
+let run rules_file dataset m output emit verbose debug homogeneous strategy =
   setup_logs debug;
   let rules =
     match (rules_file, dataset) with
@@ -138,8 +137,7 @@ let emit =
         ~doc:
           "Also write a compiled binary artifact: the merged automata plus \
            every engine-ready table (byte classes, class-indexed \
-           transitions, activation table, prefilter) under the \
-           current tuning flags, loadable in O(size) by $(b,mfsa-match \
+           transitions, activation table, prefilter), loadable in O(size) by $(b,mfsa-match \
            --load), $(b,mfsa-served run --load) and $(b,mfsa-live --load). \
            Without $(b,-o), the ANML dump to stdout is suppressed.")
 
@@ -169,6 +167,6 @@ let cmd =
        ~doc:"Compile a regular-expression ruleset into merged MFSAs (extended ANML)")
     Term.(
       const run $ rules_file $ dataset $ m $ output $ emit $ verbose $ debug
-      $ homogeneous $ strategy $ Engine_cli.tuning_term ())
+      $ homogeneous $ strategy)
 
 let () = Engine_cli.main cmd

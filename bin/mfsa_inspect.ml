@@ -46,8 +46,8 @@ let print_sharing z =
   |> List.iter (fun (k, v) -> Printf.printf "  %3d -> %d\n" k v)
 
 (* A binary artifact is header metadata, not rules: report the
-   directory (version, section sizes, per-automaton counts, the tuning
-   snapshot) instead of attempting to parse it as extended ANML. *)
+   directory (version, section sizes, per-automaton counts) instead
+   of attempting to parse it as extended ANML. *)
 let print_artifact path =
   let module A = Engine_cli.Artifact in
   match A.describe path with
@@ -55,12 +55,8 @@ let print_artifact path =
       Printf.eprintf "mfsa-inspect: %s: %s\n" path (A.error_to_string e);
       1
   | info ->
-      let t = info.A.in_tuning in
       Printf.printf "artifact: version %d, %d bytes, %d MFSA(s)\n"
         info.A.in_version info.A.in_bytes info.A.in_mfsas;
-      Printf.printf "tuning: classes=%b prefilter=%b cache=%d\n"
-        t.Mfsa_engine.Tuning.classes t.Mfsa_engine.Tuning.prefilter
-        t.Mfsa_engine.Tuning.cache_size;
       Array.iteri
         (fun i rules ->
           Printf.printf

@@ -112,7 +112,7 @@ let exec st line =
          reset/compact/rules/stats/metrics)\n"
         line
 
-let run script gc_threshold rules load metrics_every () engine =
+let run script gc_threshold rules load metrics_every engine =
   match Engine_cli.resolve ~prog:"mfsa-live" engine with
   | Error code -> code
   | Ok engine -> (
@@ -223,6 +223,6 @@ let cmd =
              compaction and generation-pinned streaming")
     Term.(
       const run $ script $ gc_threshold $ rules $ load $ metrics_every
-      $ Engine_cli.tuning_term () $ Engine_cli.term ())
+      $ Engine_cli.term ())
 
 let () = Engine_cli.main cmd

@@ -99,7 +99,7 @@ let classify_paths ~load ~rules paths =
   | None, _ -> Error "pass a RULESET (ANML, rules or artifact) and a STREAM"
 
 let run paths load threads list_events stats rules metrics deadline retries
-    admission () engine =
+    admission engine =
   match Engine_cli.resolve ~prog:"mfsa-match" engine with
   | Error code -> code
   | Ok engine -> (
@@ -281,6 +281,6 @@ let cmd =
     Term.(
       const run $ paths $ Engine_cli.load_term () $ threads $ list_events
       $ stats $ rules $ metrics $ deadline $ retries $ admission
-      $ Engine_cli.tuning_term () $ Engine_cli.term ())
+      $ Engine_cli.term ())
 
 let () = Engine_cli.main cmd

@@ -31,7 +31,7 @@ let write_file path contents =
 
 (* ------------------------------------------------------------ run *)
 
-let run_daemon rules_file rules load () engine domains sfa_domains
+let run_daemon rules_file rules load engine domains sfa_domains
     sfa_threshold host port port_file pid_file queue admission retries backoff
     read_deadline max_frame deadline quiet =
   setup_logs quiet;
@@ -375,8 +375,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run the serving daemon until SIGINT/SIGTERM or a \
                           remote SHUTDOWN drains it")
     Term.(
-      const run_daemon $ rules_file $ rules $ load
-      $ Engine_cli.tuning_term () $ Engine_cli.term () $ domains
+      const run_daemon $ rules_file $ rules $ load $ Engine_cli.term ()
+      $ domains
       $ sfa_domains $ sfa_threshold
       $ host $ port $ port_file "written to" $ pid_file $ queue $ admission
       $ retries $ backoff $ read_deadline $ max_frame $ deadline $ quiet)

@@ -1,10 +1,10 @@
 (* Versioned binary MFSA artifacts: the speed-oriented counterpart of
    the extended-ANML interchange format. An artifact stores the merged
    automaton *and* every expensive engine-side derivation — the
-   class-indexed transition tables, the activation table, the byte-class partition, the literal-prefilter
-   automaton and the tuning snapshot — in a flat, offset-based layout,
-   so loading is O(size) sequential reads plus validation, never a
-   re-run of the compile pipeline.
+   class-indexed transition tables, the activation table, the
+   byte-class partition and the literal-prefilter automaton — in a
+   flat, offset-based layout, so loading is O(size) sequential reads
+   plus validation, never a re-run of the compile pipeline.
 
    Layout (all integers little-endian, fixed width):
 
@@ -21,10 +21,11 @@
      ...  payloads                directory order, no re-derivation
                                   needed to find anything
 
-   Sections: one global META (tuning snapshot), then per automaton
-   AUTO (COO vectors, anchors, patterns), CLS (byte-class partition),
-   TBC (per-class transition lists), INI (unanchored activation table)
-   and PFX (prefilter automaton, present only when one was compiled).
+   Sections: one global META (8 fixed bytes, kept for old readers),
+   then per automaton AUTO (COO vectors, anchors, patterns), CLS
+   (byte-class partition), TBC (per-class transition lists), INI
+   (unanchored activation table) and PFX (prefilter automaton, present
+   only when one was compiled).
    Earlier writers also emitted an optional CSR ((state, class) index)
    section; the reader checksums it like any other and ignores it.
    Every section is
@@ -37,15 +38,13 @@ module Mfsa = Mfsa_model.Mfsa
 module Charclass = Mfsa_charset.Charclass
 module Bitset = Mfsa_util.Bitset
 module Tables = Mfsa_engine.Tables
-module Tuning = Mfsa_engine.Tuning
 module Source = Mfsa_engine.Source
 module Imfant = Mfsa_engine.Imfant
 module Prefilter = Mfsa_engine.Prefilter
 module Aho_corasick = Mfsa_engine.Aho_corasick
 
 (* Version 2 appended a u32 [cache_size] to META; everything else is
-   unchanged, so version-1 artifacts still load (the reader defaults
-   the missing field). *)
+   unchanged, so version-1 artifacts still load. *)
 let version = 2
 
 let min_version = 1
@@ -178,16 +177,17 @@ let add_string32 b s =
   add_u32 b (String.length s);
   Buffer.add_string b s
 
-let meta_payload (tuning : Tuning.t) =
+(* META once held the compile-time knobs: class compression, the
+   prefilter, the hybrid stride and (version 2) the hybrid cache's base
+   capacity. Nothing reads them any more; the writer emits the values
+   every reader accepts and the knobs' old defaults. *)
+let meta_payload =
   let b = Buffer.create 8 in
-  add_u8 b (if tuning.Tuning.classes then 1 else 0);
-  add_u8 b (if tuning.Tuning.prefilter then 1 else 0);
-  (* Reserved byte, once the hybrid stride. Written as 1 because
-     readers that still parse a stride reject values outside 1..2. *)
+  add_u8 b 1;
+  add_u8 b 1;
   add_u8 b 1;
   add_u8 b 0;
-  (* Version 2: the hybrid cache's base capacity. *)
-  add_u32 b tuning.Tuning.cache_size;
+  add_u32 b 4096;
   Buffer.contents b
 
 let auto_payload (z : Mfsa.t) =
@@ -270,13 +270,14 @@ let to_string (tables : Tables.t list) =
   let push tag mfsa_index payload =
     sections := (tag, mfsa_index, payload) :: !sections
   in
-  push tag_meta global_index (meta_payload (List.hd tables).Tables.tuning);
+  push tag_meta global_index meta_payload;
   List.iteri
     (fun i (tb : Tables.t) ->
       let z = tb.Tables.z in
       push tag_auto i (auto_payload z);
-      (* The byte-class partition travels even when class compression
-         was tuned off: it also seeds [Mfsa.classes]'s memo on load. *)
+      (* The byte-class partition also seeds [Mfsa.classes]'s memo on
+         load. Tables loaded from an old artifact written with class
+         compression off carry the identity map. *)
       push tag_cls i
         (cls_payload
            { Mfsa.class_of_byte = tb.Tables.class_of;
@@ -428,24 +429,17 @@ let bools cur n =
   let set = bitset cur (max n 1) in
   Array.init n (fun j -> Bitset.mem set j)
 
+(* The old knobs are untrusted bytes: range-checked, then ignored. A
+   version-1 META stops before the cache size. *)
 let parse_meta cur =
   let classes = u8 cur in
   let prefilter = u8 cur in
-  (* Reserved byte (once the hybrid stride): range-checked, since the
-     bytes are untrusted, then ignored — artifacts written with either
-     value load identically. *)
   let stride = u8 cur in
   let _reserved = u8 cur in
   if classes > 1 || prefilter > 1 || stride < 1 || stride > 2 then
     fail (Malformed "META: tuning flags out of range");
-  (* Version-1 artifacts stop here; version 2 appended the hybrid
-     cache's base capacity. Absent means the old default. *)
-  let cache_size =
-    if cur.limit - cur.pos >= 4 then u32 cur
-    else Tuning.default.Tuning.cache_size
-  in
-  if cache_size < 1 then fail (Malformed "META: cache_size out of range");
-  { Tuning.classes = classes = 1; prefilter = prefilter = 1; cache_size }
+  if cur.limit - cur.pos >= 4 && u32 cur < 1 then
+    fail (Malformed "META: cache_size out of range")
 
 let parse_auto cur =
   let n_states = u32 cur in
@@ -504,8 +498,9 @@ let parse_cls cur (z : Mfsa.t) =
   let cls = { Mfsa.class_of_byte = class_of; n_classes = k; class_repr } in
   (* Seed the automaton's memo so later [Mfsa.classes] callers (e.g. a
      generation refresh recompiling an engine) skip the partition
-     computation too. The identity partition is what tuned-off tables
-     store; the memo must keep meaning "the real partition". *)
+     computation too. The identity partition is what old artifacts
+     written with class compression off store; the memo must keep
+     meaning "the real partition". *)
   if k <> 256 then Atomic.set z.Mfsa.classes_memo (Some cls);
   cls
 
@@ -620,11 +615,9 @@ let of_string s =
           (Malformed
              (Printf.sprintf "missing section %s[%d]" (String.trim tag) i))
   in
-  let tuning =
-    match find_global tag_meta with
-    | Some sec -> parse_meta (payload sec)
-    | None -> fail (Malformed "missing META section")
-  in
+  (match find_global tag_meta with
+  | Some sec -> parse_meta (payload sec)
+  | None -> fail (Malformed "missing META section"));
   List.init n_mfsas (fun i ->
       let z = parse_auto (require tag_auto i) in
       let cls = parse_cls (require tag_cls i) z in
@@ -635,7 +628,6 @@ let of_string s =
       in
       {
         Tables.z;
-        tuning;
         n_classes = cls.Mfsa.n_classes;
         class_of = cls.Mfsa.class_of_byte;
         trans_by_cls;
@@ -690,7 +682,6 @@ type info = {
   in_states : int array;
   in_classes : int array;
   in_prefiltered : bool array;
-  in_tuning : Tuning.t;
   in_sections : section_info list;
 }
 
@@ -709,11 +700,9 @@ let describe_string s =
   let find tag i =
     List.find_opt (fun sec -> sec.tag = tag && sec.mfsa_index = i) sections
   in
-  let tuning =
-    match find tag_meta global_index with
-    | Some sec -> parse_meta (checked sec)
-    | None -> fail (Malformed "missing META section")
-  in
+  (match find tag_meta global_index with
+  | Some sec -> parse_meta (checked sec)
+  | None -> fail (Malformed "missing META section"));
   let rules = Array.make n_mfsas 0 in
   let states = Array.make n_mfsas 0 in
   let classes = Array.make n_mfsas 0 in
@@ -738,7 +727,6 @@ let describe_string s =
     in_states = states;
     in_classes = classes;
     in_prefiltered = prefiltered;
-    in_tuning = tuning;
     in_sections =
       List.map
         (fun sec -> { si_name = section_name sec; si_bytes = sec.length })

@@ -3,7 +3,7 @@
     An artifact persists everything {!Mfsa_engine.Imfant.compile}
     derives from a merged automaton — the COO vectors, the byte-class
     partition, the class-indexed transition tables, the unanchored
-    activation table, the literal-prefilter automaton and the {!Mfsa_engine.Tuning} snapshot — as a flat,
+    activation table and the literal-prefilter automaton — as a flat,
     offset-based binary blob: an 8-byte magic
     ({!Mfsa_engine.Source.artifact_magic}), a version word, and a
     checksummed section directory followed by the raw payloads.
@@ -21,10 +21,10 @@
     the module (and hence the registration) from being dropped. *)
 
 val version : int
-(** The format version this build writes and reads (currently [1]).
-    Readers reject any other version with {!Bad_version} — the format
-    is versioned precisely so old binaries fail loudly instead of
-    misparsing newer layouts. *)
+(** The format version this build writes (currently [2]); it reads
+    versions 1 and 2. Readers reject any other version with
+    {!Bad_version} — the format is versioned precisely so old binaries
+    fail loudly instead of misparsing newer layouts. *)
 
 (** {2 Errors}
 
@@ -55,9 +55,9 @@ exception Error of error
 (** {2 Compile and persist} *)
 
 val export : Mfsa_model.Mfsa.t list -> Mfsa_engine.Tables.t list
-(** Compile each automaton with the transition-centric engine under
-    the current {!Mfsa_engine.Tuning} and export its table bundle —
-    the "compile" half of compile-then-{!save}.
+(** Compile each automaton with the transition-centric engine and
+    export its table bundle — the "compile" half of
+    compile-then-{!save}.
     @raise Invalid_argument on an empty list. *)
 
 val to_string : Mfsa_engine.Tables.t list -> string
@@ -97,7 +97,6 @@ type info = {
   in_states : int array;
   in_classes : int array;  (** Byte classes per automaton. *)
   in_prefiltered : bool array;  (** Whether a prefilter was stored. *)
-  in_tuning : Mfsa_engine.Tuning.t;  (** Snapshot taken at save time. *)
   in_sections : section_info list;
 }
 

@@ -932,160 +932,6 @@ let engine_compare ?engines cfg =
               (Report.geomean sp)));
   Buffer.contents buf
 
-(* ------------------------------------------- Hot-loop ablation *)
-
-(* The on/off matrix of the two hot-loop optimisations (byte-class
-   compression, literal prefilter) over the merged
-   (M = all) automaton of every dataset, engines imfant and hybrid.
-   Every cell's per-FSA match counts must equal the all-off baseline's
-   — the matrix is first a correctness gate, then a perf artefact. *)
-
-type hotloop_row = {
-  hr_dataset : string;
-  hr_engine : string;  (* "imfant" | "hybrid" *)
-  hr_config : string;  (* "base" | "classes" | "prefilter" | "all" *)
-  hr_time : float;  (* seconds per pass *)
-  hr_mbps : float;
-  hr_matches : int;
-  hr_agree : bool;  (* per-FSA counts = all-off imfant baseline *)
-  hr_class_count : int;
-  hr_skip_rate : float;
-      (* prefilter-skipped bytes / bytes scanned during the timed
-         passes (0 when the prefilter is off or never fires) *)
-}
-
-let hotloop_configs =
-  let base =
-    {
-      Mfsa_engine.Tuning.default with
-      Mfsa_engine.Tuning.classes = false;
-      prefilter = false;
-    }
-  in
-  [
-    ("base", base);
-    ("classes", { base with Mfsa_engine.Tuning.classes = true });
-    ("prefilter", { base with Mfsa_engine.Tuning.prefilter = true });
-    ("all", { base with Mfsa_engine.Tuning.classes = true; prefilter = true });
-  ]
-
-let hotloop_rows cfg =
-  let module Tuning = Mfsa_engine.Tuning in
-  let module Hybrid = Mfsa_engine.Hybrid in
-  List.concat_map
-    (fun { ds; fsas; stream } ->
-      let z =
-        match Merge.merge_groups ~m:0 fsas with
-        | [ z ] -> z
-        | _ -> assert false
-      in
-      let size = String.length stream in
-      let mbps t = float_of_int size /. 1e6 /. t in
-      let per_ref =
-        Tuning.with_tuning (List.assoc "base" hotloop_configs) (fun () ->
-            Imfant.count_per_fsa (Imfant.compile z) stream)
-      in
-      List.concat_map
-        (fun (cname, tuning) ->
-          Tuning.with_tuning tuning (fun () ->
-              let im = Imfant.compile z in
-              let per_im = Imfant.count_per_fsa im stream in
-              Imfant.reset_skipped im;
-              let t_im =
-                time_runs cfg.reps (fun () -> ignore (Imfant.count im stream))
-              in
-              let im_skip =
-                float_of_int (Imfant.skipped_bytes im)
-                /. float_of_int (max 1 (size * cfg.reps))
-              in
-              let hy = Hybrid.compile z in
-              (* Warm pass: populate the configuration cache (and the
-                 agreement data) before timing, like engine-compare. *)
-              let per_hy = Hybrid.count_per_fsa hy stream in
-              Hybrid.reset_stats hy;
-              let t_hy =
-                time_runs cfg.reps (fun () -> ignore (Hybrid.count hy stream))
-              in
-              let hy_skip =
-                float_of_int (Hybrid.stats hy).Hybrid.skipped_bytes
-                /. float_of_int (max 1 (size * cfg.reps))
-              in
-              [
-                {
-                  hr_dataset = ds.Datasets.abbr;
-                  hr_engine = "imfant";
-                  hr_config = cname;
-                  hr_time = t_im;
-                  hr_mbps = mbps t_im;
-                  hr_matches = Array.fold_left ( + ) 0 per_im;
-                  hr_agree = per_im = per_ref;
-                  hr_class_count = Imfant.n_classes im;
-                  hr_skip_rate = im_skip;
-                };
-                {
-                  hr_dataset = ds.Datasets.abbr;
-                  hr_engine = "hybrid";
-                  hr_config = cname;
-                  hr_time = t_hy;
-                  hr_mbps = mbps t_hy;
-                  hr_matches = Array.fold_left ( + ) 0 per_hy;
-                  hr_agree = per_hy = per_ref;
-                  hr_class_count = Hybrid.n_classes hy;
-                  hr_skip_rate = hy_skip;
-                };
-              ]))
-        hotloop_configs)
-    (contexts cfg)
-
-let hotloop_report cfg rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (header
-       (Printf.sprintf
-          "Hot-loop ablation: classes / prefilter on-off matrix \
-           (%d KiB stream, %d reps)"
-          cfg.stream_kb cfg.reps));
-  Buffer.add_string buf
-    (Report.table
-       ~header:
-         [ "Dataset"; "Engine"; "Config"; "MB/s"; "Classes"; "Skip rate";
-           "Matches"; "Agreement" ]
-       (List.map
-          (fun r ->
-            [
-              r.hr_dataset; r.hr_engine; r.hr_config;
-              Printf.sprintf "%.1f" r.hr_mbps;
-              string_of_int r.hr_class_count;
-              Printf.sprintf "%.3f" r.hr_skip_rate;
-              string_of_int r.hr_matches;
-              (if r.hr_agree then "ok" else "DIVERGED");
-            ])
-          rows));
-  (* Geomean speedup of all-on over all-off, per engine. *)
-  List.iter
-    (fun eng ->
-      let ratios =
-        List.filter_map
-          (fun r ->
-            if r.hr_engine = eng && r.hr_config = "all" then
-              List.find_opt
-                (fun b ->
-                  b.hr_engine = eng && b.hr_config = "base"
-                  && b.hr_dataset = r.hr_dataset)
-                rows
-              |> Option.map (fun b -> r.hr_mbps /. b.hr_mbps)
-            else None)
-          rows
-      in
-      if ratios <> [] then
-        Buffer.add_string buf
-          (Printf.sprintf "Geomean %s all-on speedup over all-off: %.2fx\n" eng
-             (Report.geomean ratios)))
-    [ "imfant"; "hybrid" ];
-  Buffer.contents buf
-
-let hotloop cfg = hotloop_report cfg (hotloop_rows cfg)
-
 (* --------------------------------------------- Planner and churn *)
 
 (* Two artefacts behind BENCH_planner.json and the CI planner gate:

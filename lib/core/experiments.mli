@@ -121,47 +121,6 @@ val engine_compare : ?engines:string list -> config -> string
     the iMFAnt reference (rows disagreeing are marked [DIVERGED] —
     grepped for by the CI smoke gate). *)
 
-type hotloop_row = {
-  hr_dataset : string;  (** Dataset abbreviation. *)
-  hr_engine : string;  (** ["imfant"] or ["hybrid"]. *)
-  hr_config : string;
-      (** Tuning configuration label: ["base"] (all optimisations
-          off), ["classes"], ["prefilter"] (one knob each), or
-          ["all"]. *)
-  hr_time : float;  (** Seconds per pass over the stream. *)
-  hr_mbps : float;  (** Stream megabytes per second. *)
-  hr_matches : int;  (** Total match events on the stream. *)
-  hr_agree : bool;
-      (** Per-FSA match counts identical to the all-off iMFAnt
-          baseline — every cell of the matrix must agree. *)
-  hr_class_count : int;
-      (** Byte-class alphabet size the engine compiled with (256 when
-          class compression is off). *)
-  hr_skip_rate : float;
-      (** Fraction of scanned bytes the literal prefilter let the
-          engine skip during the timed passes; 0 when the prefilter is
-          off or unusable for the ruleset. *)
-}
-
-val hotloop_rows : config -> hotloop_row list
-(** The hot-loop optimisation on/off matrix: for every dataset at
-    M = all, each tuning configuration ({!hotloop_row.hr_config}) is
-    compiled and timed for both the iMFAnt and hybrid engines.
-    Machine-readable form of {!hotloop}; consumed by the benchmark
-    driver's [BENCH_hotloop.json] export. *)
-
-val hotloop_report : config -> hotloop_row list -> string
-(** Render precomputed {!hotloop_rows} without re-running the matrix
-    (the benchmark driver both prints the table and exports the same
-    rows as JSON). *)
-
-val hotloop : config -> string
-(** [hotloop_report cfg (hotloop_rows cfg)] — MB/s, class count, prefilter
-    skip rate and a baseline-agreement column per cell (disagreeing
-    cells are marked [DIVERGED] — grepped for by the CI gate) — plus
-    the per-engine geomean speedup of the all-on configuration over
-    all-off. *)
-
 type planner_row = {
   pl_dataset : string;  (** Dataset abbreviation. *)
   pl_engine : string;

@@ -5,7 +5,7 @@ module Charclass = Mfsa_charset.Charclass
 
 type t = {
   n_states : int;
-  k : int;  (* byte-class count (256 when compression is tuned off) *)
+  k : int;  (* byte-class count *)
   class_of : bytes;
   (* Row-major class-indexed table: [next.(q * k + cls)] = δ(q, c)
      for any byte c of class cls — the dense 256-way table folded
@@ -44,13 +44,8 @@ let compile ?(minimize = true) a =
   let dfa = Dfa.determinize (augment a) in
   let dfa = if minimize then Dfa.minimize dfa else dfa in
   let n = dfa.Dfa.n_states in
-  let class_of, k =
-    if (Tuning.get ()).Tuning.classes then begin
-      let cls, k = Stride.byte_classes dfa in
-      (Bytes.init 256 (fun c -> Char.chr cls.(c)), k)
-    end
-    else (Bytes.init 256 Char.chr, 256)
-  in
+  let cls, k = Stride.byte_classes dfa in
+  let class_of = Bytes.init 256 (fun c -> Char.chr cls.(c)) in
   (* One representative byte per class fills the folded table. *)
   let repr = Array.make k 0 in
   for c = 255 downto 0 do

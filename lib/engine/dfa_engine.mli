@@ -16,8 +16,7 @@
     equivalence classes ({!Mfsa_automata.Stride.byte_classes}) fold
     the 256-way rows down to one cell per class, shrinking the table
     by the alphabet-reduction factor while keeping the one-lookup
-    step (a 256-entry byte → class map is consulted first). Tuned by
-    {!Tuning.t.classes} at compile time. *)
+    step (a 256-entry byte → class map is consulted first). *)
 
 type t
 
@@ -35,8 +34,7 @@ val n_states : t -> int
 (** Scanning-DFA size — the state-explosion metric of §II. *)
 
 val n_classes : t -> int
-(** Byte-equivalence classes indexing the table (256 when class
-    compression was tuned off at compile time). *)
+(** Byte-equivalence classes indexing the table. *)
 
 val table_cells : t -> int
 (** Resident transition-table cells: [n_states * n_classes]. *)

@@ -56,6 +56,9 @@ let shrink_above_rate = 0.95
 
 let max_grow_factor = 8
 
+(* Base capacity in rows when the caller names none. *)
+let default_cache_size = 4096
+
 (* Tables keyed by ints that need no further hashing: a configuration
    hash, or a memo entry index. *)
 module Int_tbl = Hashtbl.Make (struct
@@ -80,7 +83,6 @@ type t = {
   z : Mfsa.t;
   k : int;  (* byte-class count; rows are class-indexed *)
   class_of : bytes;
-  prefilter : Prefilter.t option;
   base_cache : int;  (* configured capacity; [cap] floats around it *)
   any_end_anchor : bool;
   sp : Imfant.stepper;  (* the miss path's kernel scratch *)
@@ -124,7 +126,7 @@ type t = {
   mutable grows_c : int;
   mutable shrinks_c : int;
   mutable demotions_c : int;
-  mutable skipped : int;
+  mutable skipped : int;  (* prefilter skips of demoted batch passes *)
   (* Resize-window marks: counter values at the window's start. *)
   mutable win_steps0 : int;
   mutable win_hits0 : int;
@@ -219,15 +221,7 @@ let seed t =
   install t (add_slot t) [||] 0 (* start_id *);
   install t (add_slot t) [||] 0 (* dead_id *)
 
-let of_imfant ?cache_size im =
-  (* The wrapped engine recorded the tuning in force when it was
-     compiled (or the one stored in the tables it was adopted from);
-     reading it there — not the current global — keeps artifact-loaded
-     engines faithful to their snapshot. *)
-  let tuning = Imfant.tuning im in
-  let cache_size =
-    match cache_size with Some c -> c | None -> tuning.Tuning.cache_size
-  in
+let of_imfant ?(cache_size = default_cache_size) im =
   if cache_size < 1 then invalid_arg "Hybrid.of_imfant: cache_size < 1";
   let z = Imfant.mfsa im in
   let t =
@@ -236,7 +230,6 @@ let of_imfant ?cache_size im =
       z;
       k = Imfant.n_classes im;
       class_of = Imfant.class_of im;
-      prefilter = Imfant.prefilter im;
       base_cache = cache_size;
       any_end_anchor = Array.exists Fun.id z.Mfsa.anchored_end;
       sp = Imfant.stepper im;
@@ -490,10 +483,9 @@ let count_demoted t n =
    position-0 configuration when it owns global position 0 and from
    the dead configuration otherwise — exactly the thread set the
    sequential run would build from injections inside the window.
-   Prefilter candidates come from {!Prefilter.candidates_in}, so a
-   literal straddling the chunk end still injects at its in-chunk
-   start. Returns the carry-out configuration after the last byte.
-   Demoted, this is iMFAnt's own pass. *)
+   Every byte is one memo step: a dead byte costs one lookup, the same
+   as a literal scan would. Returns the carry-out configuration after
+   the last byte. Demoted, this is iMFAnt's own (prefiltered) pass. *)
 let run_chunk t input ~start ~stop ~on_match =
   if t.bypass then begin
     let carry, skipped = Imfant.run_chunk t.im input ~start ~stop ~on_match in
@@ -522,33 +514,10 @@ let run_chunk t input ~start ~stop ~on_match =
             if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
           done
     in
-    let cands =
-      match t.prefilter with
-      | None -> [||]
-      | Some p -> Prefilter.candidates_in p input ~start ~stop
-    in
-    let use_pf = t.prefilter <> None in
-    let nc = Array.length cands in
-    let ci = ref 0 in
     let cur = ref (if start = 0 then start_id else dead_id) in
-    let i = ref start in
-    while !i < stop do
-      (* The dead configuration only leaves through injection, and with
-         a prefilter injection can only succeed at literal-candidate
-         offsets: everything up to the next candidate is a no-op. *)
-      if use_pf && !cur = dead_id then begin
-        while !ci < nc && cands.(!ci) < !i do incr ci done;
-        let target = if !ci < nc then cands.(!ci) else stop in
-        if target > !i then begin
-          t.skipped <- t.skipped + (target - !i);
-          i := target
-        end
-      end;
-      if !i < stop then begin
-        cur := step t !cur (cls !i);
-        emit t.last_edge (!i + 1);
-        incr i
-      end
+    for i = start to stop - 1 do
+      cur := step t !cur (cls i);
+      emit t.last_edge (i + 1)
     done;
     Imfant.carry_of_config t.im t.keys.(!cur)
   end
@@ -642,10 +611,6 @@ type session = {
       (* Mint stamp of [cur]'s slot when the session last left the
          engine; a differing stamp means the slot was reused (or
          freed) and [key] must be re-interned. *)
-  mutable ac_state : int;
-      (* Literal-scanner state carried across chunks. Any state yields
-         every candidate that starts inside a chunk, so a state left
-         stale by demoted feeds costs nothing. *)
   mutable pos : int;
   mutable pending_end : int list;
       (* end-anchored FSAs matched exactly at [pos], descending;
@@ -664,10 +629,6 @@ let session eng =
     key = [||];
     epoch = eng.epoch;
     stamp = eng.stamps.(start_id);
-    ac_state =
-      (match eng.prefilter with
-      | Some p -> Prefilter.start_state p
-      | None -> 0);
     pos = 0;
     pending_end = [];
     scan = None;
@@ -678,8 +639,6 @@ let reset s =
   s.key <- [||];
   s.epoch <- s.eng.epoch;
   s.stamp <- s.eng.stamps.(start_id);
-  s.ac_state <-
-    (match s.eng.prefilter with Some p -> Prefilter.start_state p | None -> 0);
   s.pos <- 0;
   s.pending_end <- [];
   s.scan <- None
@@ -730,49 +689,19 @@ let feed_cached s chunk =
       (Bytes.unsafe_get class_of (Char.code (String.unsafe_get chunk i)))
   in
   let acc = ref [] in
-  (* Streaming prefilter: scan the chunk (updating the carried scanner
-     state), then skip dead stretches up to the next in-chunk candidate
-     — but never into the final [max_len - 1] bytes, where a literal
-     straddling into the next chunk could still start; the engine keeps
-     injection-at-every-byte semantics, so processing those tail bytes
-     natively is all the straddle case needs. *)
-  let use_pf = t.prefilter <> None in
-  let cands, limit =
-    match t.prefilter with
-    | None -> ([||], 0)
-    | Some p ->
-        let c, st = Prefilter.scan_chunk p ~state:s.ac_state chunk in
-        s.ac_state <- st;
-        (c, len - (Prefilter.max_len p - 1))
-  in
-  let nc = Array.length cands in
-  let ci = ref 0 in
   let base = s.pos in
   let cur = ref s.cur in
-  let i = ref 0 in
-  while !i < len do
-    if use_pf && !cur = dead_id then begin
-      while !ci < nc && cands.(!ci) < !i do incr ci done;
-      let stop = if !ci < nc then min cands.(!ci) limit else limit in
-      if stop > !i then begin
-        t.skipped <- t.skipped + (stop - !i);
-        s.pending_end <- [];
-        i := stop
-      end
-    end;
-    if !i < len then begin
-      (* Any continuation invalidates matches that were waiting for
-         end-of-stream. *)
-      s.pending_end <- [];
-      cur := step t !cur (cls !i);
-      let ms = t.last_edge in
-      for j = 0 to Array.length ms - 1 do
-        let f = ms.(j) in
-        if z.Mfsa.anchored_end.(f) then s.pending_end <- f :: s.pending_end
-        else acc := { fsa = f; end_pos = base + !i + 1 } :: !acc
-      done;
-      incr i
-    end
+  for i = 0 to len - 1 do
+    (* Any continuation invalidates matches that were waiting for
+       end-of-stream. *)
+    s.pending_end <- [];
+    cur := step t !cur (cls i);
+    let ms = t.last_edge in
+    for j = 0 to Array.length ms - 1 do
+      let f = ms.(j) in
+      if z.Mfsa.anchored_end.(f) then s.pending_end <- f :: s.pending_end
+      else acc := { fsa = f; end_pos = base + i + 1 } :: !acc
+    done
   done;
   s.pos <- base + len;
   s.cur <- !cur;

@@ -78,23 +78,20 @@ type stats = {
       (** Approximate resident cache footprint: memo rows, interned
           configurations, the intern index and per-edge match sets. *)
   skipped_bytes : int;
-      (** Input bytes the literal prefilter let the engine jump over
-          while in the dead configuration. *)
+      (** Input bytes iMFAnt's literal prefilter jumped over in batch
+          passes run while demoted. The memo cache steps every byte, so
+          a cached engine never skips. *)
 }
 
 val compile : ?cache_size:int -> Mfsa_model.Mfsa.t -> t
-(** [cache_size] bounds the number of {e dynamically} interned
-    configurations; it defaults to the {!Tuning.t.cache_size} snapshot
-    the wrapped {!Imfant} engine recorded at compile time (so
-    [--cache-size] and artifact-stored values flow through without
-    every caller threading the parameter). Correctness never depends
-    on it.
+(** [cache_size] is the base capacity, in rows, of the cache of
+    {e dynamically} interned configurations (default 4096). The
+    adaptive bands move the live capacity between 1x and 8x this base.
+    Correctness never depends on it.
     @raise Invalid_argument if [cache_size < 1]. *)
 
 val of_imfant : ?cache_size:int -> Imfant.t -> t
-(** Wrap an already compiled iMFAnt engine, sharing its tables. The
-    wrapped engine's recorded {!Imfant.tuning} (not the current global
-    tuning) supplies the default cache size. *)
+(** Wrap an already compiled iMFAnt engine, sharing its tables. *)
 
 val of_tables : ?cache_size:int -> Tables.t -> t
 (** [of_imfant] over {!Imfant.of_tables}: adopt a persisted table
@@ -108,8 +105,7 @@ val imfant : t -> Imfant.t
 
 val n_classes : t -> int
 (** Size of the byte-class alphabet the memo rows are indexed by
-    (inherited from the wrapped {!Imfant} engine; 256 when class
-    compression was tuned off at compile time). *)
+    (inherited from the wrapped {!Imfant} engine). *)
 
 val capacity : t -> int
 (** The current adaptive capacity, in rows (= [stats.capacity]). *)

@@ -11,20 +11,15 @@ type inits = { iw : int array; has : bool array }
 
 type t = {
   z : Mfsa.t;
-  tuning : Tuning.t;
-      (* The knob snapshot baked in at compile (or adoption) time —
-         recorded so derived engines and artifacts inherit it instead
-         of re-reading the global. *)
   k : int;  (* byte-class count; tables below are class-indexed *)
   class_of : bytes;
-      (* 256-entry byte -> class map ({!Mfsa.classes}, or the identity
-         when byte-class compression is tuned off). *)
+      (* 256-entry byte -> class map ({!Mfsa.classes}). *)
   trans_by_cls : int array array;
       (* [trans_by_cls.(cls)] = transition indices enabled by every
          byte of class cls. *)
   prefilter : Prefilter.t option;
-      (* Literal prefilter, when tuned on and every unanchored rule
-         has a usable mandatory prefix set. *)
+      (* Literal prefilter, when every unanchored rule has a usable
+         mandatory prefix set. *)
   init_unanch : Bitset.t array;
       (* Per-state initial sets at positions > 0, as sets: the table
          bundle's view. The kernel reads [i_unanch]. *)
@@ -89,7 +84,7 @@ let inits_of nw all keep =
 (* Everything the step kernel reads, in O((transitions + states) × nw)
    word copies and masks — cheap enough for both the compile and the
    table-adoption paths, so artifacts need not store it. *)
-let assemble (z : Mfsa.t) ~tuning ~k ~class_of ~trans_by_cls ~prefilter
+let assemble (z : Mfsa.t) ~k ~class_of ~trans_by_cls ~prefilter
     ~init_unanch =
   let nw = Array.length (Bitset.words (Bitset.create z.Mfsa.n_fsas)) in
   let all = flatten nw z.Mfsa.init_sets in
@@ -103,7 +98,6 @@ let assemble (z : Mfsa.t) ~tuning ~k ~class_of ~trans_by_cls ~prefilter
   in
   {
     z;
-    tuning;
     k;
     class_of;
     trans_by_cls;
@@ -122,10 +116,7 @@ let assemble (z : Mfsa.t) ~tuning ~k ~class_of ~trans_by_cls ~prefilter
   }
 
 let compile (z : Mfsa.t) =
-  let tuning = Tuning.get () in
-  let cls =
-    if tuning.Tuning.classes then Mfsa.classes z else Mfsa.identity_classes
-  in
+  let cls = Mfsa.classes z in
   let k = cls.Mfsa.n_classes in
   let class_of = cls.Mfsa.class_of_byte in
   (* A transition's enabling class is a union of byte classes, so one
@@ -153,21 +144,20 @@ let compile (z : Mfsa.t) =
     (fun j anchored ->
       if anchored then Bitset.remove init_unanch.(z.Mfsa.init_of.(j)) j)
     z.Mfsa.anchored_start;
-  assemble z ~tuning ~k ~class_of
+  assemble z ~k ~class_of
     ~trans_by_cls:(Array.map Vec.to_array by_cls)
-    ~prefilter:(if tuning.Tuning.prefilter then Prefilter.analyze z else None)
+    ~prefilter:(Prefilter.analyze z)
     ~init_unanch
 
 let of_tables (tb : Tables.t) =
   let z = tb.Tables.z in
-  assemble z ~tuning:tb.Tables.tuning ~k:tb.Tables.n_classes
+  assemble z ~k:tb.Tables.n_classes
     ~class_of:tb.Tables.class_of ~trans_by_cls:tb.Tables.trans_by_cls
     ~prefilter:tb.Tables.prefilter ~init_unanch:tb.Tables.init_unanch
 
 let export_tables t =
   {
     Tables.z = t.z;
-    tuning = t.tuning;
     n_classes = t.k;
     class_of = t.class_of;
     trans_by_cls = t.trans_by_cls;
@@ -176,8 +166,6 @@ let export_tables t =
   }
 
 let mfsa t = t.z
-
-let tuning t = t.tuning
 
 let n_classes t = t.k
 

@@ -23,11 +23,10 @@
 
 type t
 (** Compiled MFSA: pre-processing of the extended-ANML-level automaton
-    into the engine's table, done once per MFSA. The hot-loop tuning
-    in force at compile time ({!Tuning}) is baked in: transition
-    tables are indexed by byte-equivalence class ({!Mfsa_model.Mfsa.classes},
-    identity partition when tuned off) and a literal prefilter
-    ({!Prefilter}) is attached when usable.
+    into the engine's table, done once per MFSA. Transition tables are
+    indexed by byte-equivalence class ({!Mfsa_model.Mfsa.classes}), and
+    a literal prefilter ({!Prefilter}) is attached whenever
+    {!Prefilter.analyze} builds one.
 
     Every activation set the step reads — [bel], the final sets and
     the three initial-set tables — is also laid out word-major in one
@@ -52,9 +51,8 @@ val of_tables : Tables.t -> t
 (** Adopt a pre-derived table bundle (an artifact load, or another
     engine's export) in O(size of the tables): nothing is re-derived
     except the flat activation words the step kernel reads (word
-    copies, O((transitions + states) × ⌈fsas/62⌉)). The bundle's recorded
-    {!Tables.t.tuning} is baked in — the current global tuning is not
-    consulted. The bundle's arrays are shared, not copied: they must
+    copies, O((transitions + states) × ⌈fsas/62⌉)). The bundle's class
+    map and prefilter are used as stored. The bundle's arrays are shared, not copied: they must
     not be mutated afterwards. *)
 
 val export_tables : t -> Tables.t
@@ -64,10 +62,6 @@ val export_tables : t -> Tables.t
 
 val mfsa : t -> Mfsa_model.Mfsa.t
 (** The underlying automaton. *)
-
-val tuning : t -> Tuning.t
-(** The hot-loop tuning snapshotted when this engine was compiled (or
-    recorded in the tables it was adopted from). *)
 
 val run : t -> string -> match_event list
 (** All matches, ordered by end position (ties by FSA id). *)
@@ -213,8 +207,7 @@ val pending_end : session -> int list
     lazy-DFA engine ({!Hybrid}). *)
 
 val n_classes : t -> int
-(** Size of the byte-class alphabet the tables are indexed by (256
-    when compression was tuned off at compile time). *)
+(** Size of the byte-class alphabet the tables are indexed by. *)
 
 val class_of : t -> bytes
 (** The 256-entry byte -> class map. Must not be mutated. *)

@@ -8,7 +8,7 @@ type t = {
   finals : bool array;
   anchored_start : bool;
   anchored_end : bool;
-  k : int;  (* byte-class count (256 when compression is tuned off) *)
+  k : int;  (* byte-class count *)
   class_of : bytes;
   (* Symbol-first layout over the class alphabet: [table.(cls)] holds
      the (src, dst) pairs of every transition enabled by the bytes of
@@ -30,10 +30,7 @@ let compile (a : Nfa.t) =
            | Nfa.Eps -> assert false
            | Nfa.Cls cls -> Some cls)
   in
-  let class_of, k =
-    if (Tuning.get ()).Tuning.classes then Charclass.partition classes
-    else (Bytes.init 256 Char.chr, 256)
-  in
+  let class_of, k = Charclass.partition classes in
   let srcs = Array.init k (fun _ -> Vec.create ()) in
   let dsts = Array.init k (fun _ -> Vec.create ()) in
   (* Dedupe per (transition, class): a transition's charclass may

@@ -32,5 +32,4 @@ val n_states : t -> int
 val n_classes : t -> int
 (** Byte-equivalence classes indexing the symbol-first table
     ({!Mfsa_charset.Charclass.partition} over the rule's transition
-    labels; 256 when class compression was tuned off at compile
-    time). *)
+    labels). *)

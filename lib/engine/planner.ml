@@ -16,11 +16,14 @@ type features = {
    per-engine steady-state throughputs on the six bundled datasets —
    see the planner row of DESIGN.md):
 
-   - The hybrid wins whenever the literal prefilter engages: the memo
-     cache then only sees the hot regions, where configurations
-     repeat heavily, and the adaptive capacity absorbs the resident
-     working set. Cold at scale 1.0, its 2 KiB-feed sessions run
-     1.5–5x over iMFAnt's on BRO/DS9/PEN/RG1; TCP's working set churns
+   - The hybrid wins whenever every unanchored rule is literal-covered
+     (the condition under which iMFAnt's prefilter engages). The
+     hybrid runs no prefilter of its own, and its resident
+     configurations are the same with or without one; coverage stays
+     only as a predictor of a cacheable working set, where
+     configurations repeat heavily and the adaptive capacity absorbs
+     them. Cold at scale 1.0, its 2 KiB-feed sessions run 1.5–5x over
+     iMFAnt's on BRO/DS9/PEN/RG1; TCP's working set churns
      and holds it to 0.5x (EXPERIMENTS.md), the case [demote] is for.
      Static automaton size does {e not} predict cacheability — PRO's
      86 merged states explode into a ~44k-configuration working set
@@ -100,18 +103,7 @@ let features_of_mfsa (z : Mfsa.t) =
     f_prefilter = pf;
   }
 
+(* The same features as compiling the bundle's rules, so an artifact
+   plans the same engine; only the class count is the bundle's own. *)
 let features_of_tables (tb : Tables.t) =
-  let z = tb.Tables.z in
-  let share, _ = literal_features z in
-  {
-    f_states = z.Mfsa.n_states;
-    f_fsas = z.Mfsa.n_fsas;
-    f_transitions = Mfsa.n_transitions z;
-    f_classes = tb.Tables.n_classes;
-    f_density = density z;
-    f_literal_share = share;
-    (* The bundle records whether a prefilter was actually built for
-       the tuning it was compiled under — more faithful than
-       re-deriving from the patterns. *)
-    f_prefilter = tb.Tables.prefilter <> None;
-  }
+  { (features_of_mfsa tb.Tables.z) with f_classes = tb.Tables.n_classes }

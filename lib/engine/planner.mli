@@ -27,13 +27,13 @@ type features = {
       (** Fraction of rules with a usable required literal prefix
           ({!Prefilter.prefix_set}). *)
   f_prefilter : bool;
-      (** Whether the Aho–Corasick prefilter engages (every unanchored
-          rule literal-covered) — the single strongest predictor of a
-          hybrid win. *)
+      (** Whether every unanchored rule is literal-covered, i.e.
+          iMFAnt's Aho–Corasick prefilter engages — the single
+          strongest predictor of a hybrid win. *)
 }
-(** The hybrid decision keys on [f_prefilter] alone: prefilter
-    coverage predicts that the cache only sees hot regions where
-    configurations repeat. Static automaton size does not predict
+(** The hybrid decision keys on [f_prefilter] alone: literal coverage
+    predicts a cacheable working set, where configurations repeat.
+    Static automaton size does not predict
     cacheability (PRO's 86 merged states yield a ~44k-configuration
     working set; TCP's 119 cache fully), so no size threshold gates
     the choice — pathological churn is caught online by the demotion
@@ -42,9 +42,9 @@ type features = {
 val features_of_mfsa : Mfsa_model.Mfsa.t -> features
 
 val features_of_tables : Tables.t -> features
-(** Features from a persisted bundle; [f_prefilter] reflects whether
-    the bundle actually carries a prefilter (the tuning it was
-    compiled under may have disabled it). *)
+(** Features from a persisted bundle, derived from its patterns as
+    {!features_of_mfsa} does, so an artifact plans the same engine as
+    compiling its rules. *)
 
 val choose : features -> string
 (** Registry name of the planned engine: ["hybrid"], ["dfa"] or

@@ -202,9 +202,7 @@ let analyze (z : Mfsa.t) =
   | Some lits -> Some (build (dedup lits))
 
 let n_literals t = t.n_literals
-let max_len t = t.maxlen
 let ac_states t = Aho_corasick.n_states t.ac
-let start_state t = ignore t; Aho_corasick.start_state
 
 let sorted_dedup v =
   let n = Vec.length v in
@@ -249,16 +247,12 @@ let import ?(copy = true) tb =
             n_literals = Array.length tb.pf_lens;
           }
 
-let scan_chunk t ~state chunk =
+let candidates t input =
   let v = Vec.create () in
-  let state' =
-    Aho_corasick.scan_from t.ac ~state chunk ~on_match:(fun id e ->
-        let s = e - t.lens.(id) in
-        if s >= 0 then Vec.push v s)
-  in
-  (sorted_dedup v, state')
-
-let candidates t input = fst (scan_chunk t ~state:Aho_corasick.start_state input)
+  Aho_corasick.scan t.ac input ~on_match:(fun id e ->
+      let s = e - t.lens.(id) in
+      if s >= 0 then Vec.push v s);
+  sorted_dedup v
 
 let candidates_in t input ~start ~stop =
   let len = String.length input in

@@ -7,12 +7,12 @@
     MFSA has a usable set (all members at least {!min_prefix_len}
     bytes), the union of the sets is compiled into one Aho–Corasick
     automaton; scanning the input with it yields the {e candidate}
-    positions — the only offsets where any match can begin. Engines
-    exploit this soundly in two ways: never inject initial states at
-    non-candidate offsets, and when the active configuration is empty,
-    jump straight to the next candidate instead of stepping the full
-    automaton byte by byte. Position 0 is always treated as a
-    candidate by the engines (anchored-start rules need no literal).
+    positions — the only offsets where any match can begin. iMFAnt's
+    batch passes ({!Imfant}) exploit this soundly in two ways: never
+    inject initial states at non-candidate offsets, and when the active
+    configuration is empty, jump straight to the next candidate instead
+    of stepping the full automaton byte by byte. Position 0 always
+    injects the start-anchored rules (they need no literal).
 
     The analysis runs at engine-compile time from the automaton's
     stored source patterns, so Live generations and Serve replicas
@@ -37,24 +37,9 @@ val candidates : t -> string -> int array
 
 val candidates_in : t -> string -> start:int -> stop:int -> int array
 (** The candidates inside [input.[start..stop-1]], as sorted offsets
-    into [input]. The scan window extends [max_len - 1] bytes past
-    [stop], so a literal straddling [stop] still marks its in-window
+    into [input]. The scan window extends one byte short of the
+    longest literal past [stop], so a literal straddling [stop] still marks its in-window
     start; a whole-input window is scanned without a copy. *)
-
-val scan_chunk : t -> state:int -> string -> int array * int
-(** Streaming variant: resumes the literal scan from an explicit
-    Aho–Corasick state (see {!start_state}) and returns chunk-relative
-    candidate offsets (negative starts — occurrences begun in an
-    earlier chunk — are dropped: their bytes were already processed)
-    plus the state after the chunk. *)
-
-val start_state : t -> int
-(** Initial scanner state for {!scan_chunk}. *)
-
-val max_len : t -> int
-(** Longest literal in the filter (at least 1). Sessions must not
-    skip into the final [max_len - 1] bytes of a chunk: a literal
-    straddling the chunk boundary can still start there. *)
 
 val n_literals : t -> int
 val ac_states : t -> int

@@ -7,7 +7,6 @@ module Bitset = Mfsa_util.Bitset
 
 type t = {
   z : Mfsa.t;
-  tuning : Tuning.t;
   n_classes : int;
   class_of : bytes;
   trans_by_cls : int array array;

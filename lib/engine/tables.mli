@@ -2,8 +2,7 @@
 
     A value of this type is the complete compiled state of the
     transition-centric engine ({!Imfant}) minus its mutable scratch:
-    the automaton, the hot-loop tuning that was in force when the
-    tables were derived, the byte-class alphabet, the class-indexed
+    the automaton, the byte-class alphabet, the class-indexed
     transition tables, the activation (init) table for unanchored
     positions, and the literal prefilter.
     {!Imfant.export_tables} produces one; {!Imfant.of_tables} and
@@ -16,9 +15,6 @@
 
 type t = {
   z : Mfsa_model.Mfsa.t;
-  tuning : Tuning.t;
-      (** The knobs snapshotted when the tables were derived — adopted
-          engines bake these in, not the current global tuning. *)
   n_classes : int;
   class_of : bytes;  (** 256-entry byte → class map. *)
   trans_by_cls : int array array;

@@ -124,10 +124,6 @@ let repr_of class_of n_classes =
   done;
   repr
 
-let identity_classes =
-  let class_of = Bytes.init 256 Char.chr in
-  { class_of_byte = class_of; n_classes = 256; class_repr = repr_of class_of 256 }
-
 let compute_classes z =
   let class_of, n = Charclass.partition (Array.to_list z.idx) in
   { class_of_byte = class_of; n_classes = n; class_repr = repr_of class_of n }

@@ -58,11 +58,6 @@ val classes : t -> classes
     Class ids are assigned in increasing byte order, so byte 0 is
     always class 0. *)
 
-val identity_classes : classes
-(** The trivial partition: 256 singleton classes, [class_of_byte]
-    the identity. What engines fall back to when byte-class
-    compression is disabled. *)
-
 val of_fsa : Mfsa_automata.Nfa.t -> t
 (** The trivial MFSA of a single FSA (merging factor M = 1): every
     transition belongs to FSA 0. Requires an ε-free automaton.

@@ -28,20 +28,6 @@ if printf '%s' "$out" | grep -q DIVERGED; then
   exit 1
 fi
 
-echo "== hotloop ablation (smoke) =="
-# The hot-loop optimisation on/off matrix: every (config, engine,
-# dataset) cell must report exactly the all-off baseline's per-FSA
-# match counts — the experiment marks disagreeing cells DIVERGED —
-# and the run must produce the JSON artefact.
-out=$(MFSA_SCALE="${MFSA_SCALE:-0.1}" MFSA_STREAM_KB="${MFSA_STREAM_KB:-32}" \
-  MFSA_REPS="${MFSA_REPS:-2}" dune exec bench/main.exe -- hotloop)
-printf '%s\n' "$out"
-if printf '%s' "$out" | grep -q DIVERGED; then
-  echo "ci: a hot-loop optimisation changed match counts" >&2
-  exit 1
-fi
-test -s BENCH_hotloop.json
-
 echo "== planner + eviction ablation (planner gate) =="
 # The auto meta-engine must report exactly iMFAnt's matches on every
 # dataset (rows disagreeing are marked DIVERGED and the bench exits

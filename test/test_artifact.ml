@@ -202,6 +202,38 @@ let test_fixture_loads () =
   let info = Artifact.describe fixture_path in
   Alcotest.(check int) "fixture version" 1 info.Artifact.in_version
 
+(* test/fixtures/artifact_v2_tuned.mfsa is a version-2 artifact of the
+   same three rules, written with the literal prefilter switched off and
+   a hybrid cache size of 16 stored in META — knobs that no longer
+   exist. It carries no PFX section, and its stored cache size is
+   ignored. It must load under every table-capable engine with the
+   per-rule counts of a fresh compile, and [auto] must plan the hybrid
+   from it, as it does from the rules. *)
+let tuned_fixture_path = "fixtures/artifact_v2_tuned.mfsa"
+
+let test_tuned_fixture_loads () =
+  let loaded = Artifact.load tuned_fixture_path in
+  let fresh = compile [| "hello world"; "hello there"; "he(l|n)p" |] in
+  List.iter
+    (fun engine ->
+      let direct = List.map (Registry.compile_automaton_exn engine) fresh in
+      let reloaded = List.map (Registry.compile_tables_exn engine) loaded in
+      Alcotest.(check (list (array int)))
+        (engine ^ ": per-rule counts = fresh compile")
+        (List.map (fun e -> Engine_sig.count_per_fsa e stream) direct)
+        (List.map (fun e -> Engine_sig.count_per_fsa e stream) reloaded))
+    (Registry.table_capable_names ());
+  let info = Artifact.describe tuned_fixture_path in
+  Alcotest.(check int) "fixture version" 2 info.Artifact.in_version;
+  Alcotest.(check bool) "no prefilter stored" false
+    info.Artifact.in_prefiltered.(0);
+  let auto = Registry.compile_tables_exn "auto" (List.hd loaded) in
+  Alcotest.(check bool) "auto plans hybrid" true
+    (Mfsa_obs.Snapshot.find
+       ~labels:[ ("engine", "auto"); ("planned", "hybrid"); ("active", "hybrid") ]
+       (Engine_sig.stats auto) "mfsa_engine_planner_choice"
+    <> None)
+
 (* ------------------------------------------------------- properties *)
 
 let fsa_of_rule rule =
@@ -263,7 +295,11 @@ let () =
       ( "capability",
         [ Alcotest.test_case "engine gate" `Quick test_capability_gate ] );
       ( "fixture",
-        [ Alcotest.test_case "version 1 loads" `Quick test_fixture_loads ] );
+        [
+          Alcotest.test_case "version 1 loads" `Quick test_fixture_loads;
+          Alcotest.test_case "version 2 with old knobs loads" `Quick
+            test_tuned_fixture_loads;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_round_trip;

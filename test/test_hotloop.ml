@@ -1,13 +1,13 @@
-(* Hot-loop optimisation tests: byte-class compression and the literal
-   prefilter — each optimised engine must be match-identical to its
-   unoptimised self, batch and streaming. *)
+(* Hot-loop tests: byte-class compression and iMFAnt's literal
+   prefilter. Every engine, batch and streaming, must report exactly
+   the matches of the activation oracle ({!Mfsa_model.Activation}),
+   which uses neither. *)
 
 module P = Mfsa_frontend.Parser
 module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
 module Im = Mfsa_engine.Imfant
 module Hy = Mfsa_engine.Hybrid
-module Tuning = Mfsa_engine.Tuning
 module Prefilter = Mfsa_engine.Prefilter
 module Registry = Mfsa_engine.Registry
 module Engine_sig = Mfsa_engine.Engine_sig
@@ -26,9 +26,6 @@ let fsa_of src = fsa_of_rule (P.parse_exn src)
 
 let mfsa_of srcs = Merge.merge (Array.of_list (List.map fsa_of srcs))
 
-let baseline =
-  { Tuning.default with Tuning.classes = false; prefilter = false }
-
 let event =
   Alcotest.testable
     (fun fmt e ->
@@ -44,6 +41,12 @@ let sort_ev =
       if a.Engine_sig.end_pos <> b.Engine_sig.end_pos then
         compare a.Engine_sig.end_pos b.Engine_sig.end_pos
       else compare a.Engine_sig.fsa b.Engine_sig.fsa)
+
+(* The oracle's events, already in (end, fsa) order. *)
+let oracle z input =
+  List.map
+    (fun (fsa, end_pos) -> { Engine_sig.fsa; end_pos })
+    (Mfsa_model.Activation.run z input)
 
 (* ------------------------------------------------- Byte classes *)
 
@@ -65,17 +68,6 @@ let test_class_of_byte_pinned () =
   (* The memo returns the same value and the engine inherits it. *)
   check Alcotest.int "memoised" 4 (Mfsa.classes z).Mfsa.n_classes;
   check Alcotest.int "engine class count" 4 (Im.n_classes (Im.compile z))
-
-let test_classes_tuned_off () =
-  let z = mfsa_of [ "ab"; "a[0-9]" ] in
-  Tuning.with_tuning baseline (fun () ->
-      check Alcotest.int "identity partition" 256 (Im.n_classes (Im.compile z)))
-
-let test_identity_classes () =
-  let c = Mfsa.identity_classes in
-  check Alcotest.int "256 classes" 256 c.Mfsa.n_classes;
-  check Alcotest.int "byte = class" 65
-    (Char.code (Bytes.get c.Mfsa.class_of_byte 65))
 
 (* ------------------------------------------------- Prefix sets *)
 
@@ -120,18 +112,15 @@ let test_prefilter_analyze () =
   check Alcotest.bool "anchored rule no veto" true
     (Prefilter.analyze (mfsa_of [ "hello"; "^a*b" ]) <> None)
 
-(* ------------------------------------------- Optimised = baseline *)
+(* ---------------------------------------------- Engines = oracle *)
 
 let engines_equal ?(msg = "") z input =
-  let base =
-    sort_ev
-      (Tuning.with_tuning baseline (fun () -> Im.run (Im.compile z) input))
-  in
+  let base = oracle z input in
   List.iter
     (fun name ->
       let opt = sort_ev (Engine_sig.run (Registry.compile_automaton_exn name z) input) in
       check (Alcotest.list event)
-        (Printf.sprintf "%s optimised = baseline %s" name msg)
+        (Printf.sprintf "%s = oracle %s" name msg)
         base opt)
     (Registry.general_names ())
 
@@ -153,17 +142,14 @@ let test_known_divergence_candidates () =
       ([ "aa" ], [ "aaaa"; "aaa" ]);
     ]
 
-let prop_optimised_equals_baseline =
+let prop_engines_equal_oracle =
   QCheck2.Test.make ~count:120
-    ~name:"every engine, full tuning = untuned imfant"
+    ~name:"every engine = activation oracle"
     ~print:Gen_re.print_ruleset_input
     (Gen.pair (Gen_re.ruleset ()) Gen_re.input)
     (fun (rules, input) ->
       let z = Merge.merge (Array.of_list (List.map fsa_of_rule rules)) in
-      let base =
-        sort_ev
-          (Tuning.with_tuning baseline (fun () -> Im.run (Im.compile z) input))
-      in
+      let base = oracle z input in
       List.for_all
         (fun name ->
           let opt =
@@ -178,46 +164,16 @@ let prop_optimised_equals_baseline =
 (* Wide-alphabet rules: large class counts and binary bytes through
    the partition map. *)
 let prop_wide_alphabet =
-  QCheck2.Test.make ~count:60 ~name:"wide alphabet, full tuning = baseline"
+  QCheck2.Test.make ~count:60 ~name:"wide alphabet: imfant/hybrid = oracle"
     ~print:Gen_re.print_ruleset_input
     (Gen.pair
        (Gen.list_size (Gen.int_range 2 4) Gen_re.wide_rule)
        Gen_re.wide_input)
     (fun (rules, input) ->
       let z = Merge.merge (Array.of_list (List.map fsa_of_rule rules)) in
-      let base =
-        sort_ev
-          (Tuning.with_tuning baseline (fun () -> Im.run (Im.compile z) input))
-      in
+      let base = oracle z input in
       sort_ev (Im.run (Im.compile z) input) = base
       && sort_ev (Hy.run (Hy.compile z) input) = base)
-
-(* Per-optimisation ablation: each knob alone must also agree. *)
-let prop_each_knob_alone =
-  QCheck2.Test.make ~count:60 ~name:"each optimisation alone = baseline"
-    ~print:Gen_re.print_ruleset_input
-    (Gen.pair (Gen_re.ruleset ()) Gen_re.input)
-    (fun (rules, input) ->
-      let z = Merge.merge (Array.of_list (List.map fsa_of_rule rules)) in
-      let base =
-        sort_ev
-          (Tuning.with_tuning baseline (fun () -> Im.run (Im.compile z) input))
-      in
-      List.for_all
-        (fun t ->
-          let im =
-            sort_ev
-              (Tuning.with_tuning t (fun () -> Im.run (Im.compile z) input))
-          in
-          let hy =
-            sort_ev
-              (Tuning.with_tuning t (fun () -> Hy.run (Hy.compile z) input))
-          in
-          im = base && hy = base)
-        [
-          { baseline with Tuning.classes = true };
-          { baseline with Tuning.prefilter = true };
-        ])
 
 (* ------------------------------------------------------ Streaming *)
 
@@ -239,7 +195,7 @@ let split_at input cuts =
 
 let prop_sessions_chunked =
   QCheck2.Test.make ~count:120
-    ~name:"imfant/hybrid sessions: any chunking = batch (full tuning)"
+    ~name:"imfant/hybrid sessions: any chunking = oracle"
     ~print:(fun ((rules, input), cuts) ->
       Printf.sprintf "%s cuts=[%s]"
         (Gen_re.print_ruleset_input (rules, input))
@@ -250,10 +206,7 @@ let prop_sessions_chunked =
     (fun ((rules, input), cuts) ->
       let z = Merge.merge (Array.of_list (List.map fsa_of_rule rules)) in
       let chunks = split_at input cuts in
-      let batch =
-        sort_ev
-          (Tuning.with_tuning baseline (fun () -> Im.run (Im.compile z) input))
-      in
+      let batch = oracle z input in
       let im = Im.compile z in
       let s = Im.session im in
       let fed_im = chunked_feed (Im.feed s) chunks in
@@ -270,8 +223,8 @@ let prop_sessions_chunked =
           (List.length got_hy) (List.length batch)
       else true)
 
-(* A literal split across the chunk boundary, with the prefilter
-   active: the skip logic must not jump over the straddle region. *)
+(* A literal split across the chunk boundary, on a ruleset where
+   iMFAnt's prefilter engages: the match must survive the cut. *)
 let test_session_straddles_literal () =
   let z = mfsa_of [ "hello" ] in
   let hy = Hy.compile z in
@@ -293,18 +246,29 @@ let test_session_straddles_literal () =
       ("x", "xhello");
     ]
 
+(* Only iMFAnt's batch passes skip: the cached hybrid steps every
+   byte through its memo, and a demoted hybrid's batch run is
+   iMFAnt's pass and reports its skips. *)
 let test_skip_counter_moves () =
   let z = mfsa_of [ "needle" ] in
   let im = Im.compile z in
   let input = String.make 4096 'x' ^ "needle" in
   ignore (Im.run im input);
-  check Alcotest.bool "imfant skipped bytes" true (Im.skipped_bytes im > 0);
+  let im_skipped = Im.skipped_bytes im in
+  check Alcotest.bool "imfant skipped bytes" true (im_skipped > 0);
   Im.reset_skipped im;
   check Alcotest.int "reset" 0 (Im.skipped_bytes im);
   let hy = Hy.compile z in
   ignore (Hy.run hy input);
-  check Alcotest.bool "hybrid skipped bytes" true
-    ((Hy.stats hy).Hy.skipped_bytes > 0)
+  let st = Hy.stats hy in
+  check Alcotest.int "cached hybrid skips nothing" 0 st.Hy.skipped_bytes;
+  check Alcotest.int "cached hybrid steps every byte" (String.length input)
+    st.Hy.steps;
+  Hy.demote hy;
+  Hy.reset_stats hy;
+  ignore (Hy.run hy input);
+  check Alcotest.int "demoted hybrid = imfant skips" im_skipped
+    (Hy.stats hy).Hy.skipped_bytes
 
 (* ------------------------------------------------------ ac engine *)
 
@@ -357,26 +321,12 @@ let test_ac_in_registry () =
     (not (List.mem "ac" (Registry.general_names ())));
   check Alcotest.bool "documented" true (Registry.doc "ac" <> None)
 
-(* ------------------------------------------------------- Tuning *)
-
-let test_tuning_validation () =
-  (match Tuning.set { Tuning.default with Tuning.cache_size = 0 } with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "cache_size 0 accepted");
-  let before = Tuning.get () in
-  (try
-     Tuning.with_tuning baseline (fun () -> failwith "boom")
-   with Failure _ -> ());
-  check Alcotest.bool "restored on raise" true (Tuning.get () = before)
-
 let () =
   Alcotest.run "hotloop"
     [
       ( "classes",
         [
           Alcotest.test_case "pinned class map" `Quick test_class_of_byte_pinned;
-          Alcotest.test_case "tuned off" `Quick test_classes_tuned_off;
-          Alcotest.test_case "identity" `Quick test_identity_classes;
         ] );
       ( "prefilter",
         [
@@ -389,9 +339,8 @@ let () =
         [
           Alcotest.test_case "known edge shapes" `Quick
             test_known_divergence_candidates;
-          QCheck_alcotest.to_alcotest prop_optimised_equals_baseline;
+          QCheck_alcotest.to_alcotest prop_engines_equal_oracle;
           QCheck_alcotest.to_alcotest prop_wide_alphabet;
-          QCheck_alcotest.to_alcotest prop_each_knob_alone;
         ] );
       ( "streaming",
         [
@@ -408,6 +357,4 @@ let () =
             test_ac_anchors_and_sessions;
           Alcotest.test_case "registry placement" `Quick test_ac_in_registry;
         ] );
-      ( "tuning",
-        [ Alcotest.test_case "validation" `Quick test_tuning_validation ] );
     ]

@@ -228,7 +228,7 @@ let test_concurrent_sessions_survive_flushes () =
   check Alcotest.bool "evictions happened" true
     ((Hy.stats hy).Hy.evictions > 0)
 
-(* A literal ruleset, so the prefilter skip runs in both modes: a
+(* A literal ruleset, so demoted passes run iMFAnt's prefilter skip: a
    session demoted and promoted between chunks — mid-literal, in the
    dead configuration, with an end-anchored match pending — reports
    exactly iMFAnt's events, and a demoted [run] does too. *)
@@ -366,9 +366,8 @@ let carry_equal (s1, b1) (s2, b2) =
   && Array.for_all2 Mfsa_util.Bitset.equal b1 b2
 
 (* Without a prefilter both engines inject at every position, so the
-   carries are equal. With one, the hybrid injects at every position
-   while its configuration is live and iMFAnt only at literal
-   candidates, so the hybrid's carry may hold extra threads — started
+   carries are equal. With one, the hybrid still injects at every
+   position and iMFAnt only at literal candidates, so the hybrid's carry may hold extra threads — started
    where no required literal begins, so they can never complete a
    match. Those carries must agree on everything a continuation
    observes: iMFAnt's is contained in the hybrid's, and stepping either
