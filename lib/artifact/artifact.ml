@@ -23,11 +23,11 @@
 
    Sections: one global META (8 fixed bytes, kept for old readers),
    then per automaton AUTO (COO vectors, anchors, patterns), CLS
-   (byte-class partition), TBC (per-class transition lists), INI
-   (unanchored activation table) and PFX (prefilter automaton, present
-   only when one was compiled).
+   (byte-class partition), TBC (per-class transition lists) and PFX
+   (prefilter automaton, present only when one was compiled).
    Earlier writers also emitted an optional CSR ((state, class) index)
-   section; the reader checksums it like any other and ignores it.
+   section and, up to version 2, an INI (unanchored activation table)
+   section; the reader checksums both like any other and ignores them.
    Every section is
    independently checksummed; the reader validates magic, version,
    directory bounds and every checksum before structural parsing, and
@@ -43,9 +43,9 @@ module Imfant = Mfsa_engine.Imfant
 module Prefilter = Mfsa_engine.Prefilter
 module Aho_corasick = Mfsa_engine.Aho_corasick
 
-(* Version 2 appended a u32 [cache_size] to META; everything else is
-   unchanged, so version-1 artifacts still load. *)
-let version = 2
+(* Version 2 appended a u32 [cache_size] to META; version 3 stopped
+   writing INI. Versions 1 and 2 still load. *)
+let version = 3
 
 let min_version = 1
 
@@ -229,13 +229,6 @@ let tbc_payload trans_by_cls =
   Array.iter (fun row -> add_int_array b row) trans_by_cls;
   Buffer.contents b
 
-let ini_payload init_unanch n_fsas =
-  let b = Buffer.create 1024 in
-  add_u32 b (Array.length init_unanch);
-  add_u32 b n_fsas;
-  Array.iter (fun set -> add_bitset b set n_fsas) init_unanch;
-  Buffer.contents b
-
 let pfx_payload pf =
   let tb = Prefilter.export pf in
   let ac = tb.Prefilter.pf_ac in
@@ -259,7 +252,6 @@ let tag_meta = "META"
 let tag_auto = "AUTO"
 let tag_cls = "CLS\x00"
 let tag_tbc = "TBC\x00"
-let tag_ini = "INI\x00"
 let tag_pfx = "PFX\x00"
 
 let global_index = 0xFFFFFFFF
@@ -286,7 +278,6 @@ let to_string (tables : Tables.t list) =
                (if tb.Tables.n_classes = 256 then Array.init 256 Fun.id
                 else (Mfsa.classes z).Mfsa.class_repr) });
       push tag_tbc i (tbc_payload tb.Tables.trans_by_cls);
-      push tag_ini i (ini_payload tb.Tables.init_unanch z.Mfsa.n_fsas);
       match tb.Tables.prefilter with
       | Some pf -> push tag_pfx i (pfx_payload pf)
       | None -> ())
@@ -518,13 +509,6 @@ let parse_tbc cur (z : Mfsa.t) k =
         row;
       row)
 
-let parse_ini cur (z : Mfsa.t) =
-  let n_states = u32 cur in
-  let n_fsas = u32 cur in
-  if n_states <> z.Mfsa.n_states || n_fsas <> z.Mfsa.n_fsas then
-    fail (Malformed "INI: dimensions disagree with AUTO");
-  Array.init n_states (fun _ -> bitset cur n_fsas)
-
 let parse_pfx cur =
   let ac_states = counted cur ~width:512 (u32 cur) "AC state" in
   let ac_next =
@@ -622,7 +606,6 @@ let of_string s =
       let z = parse_auto (require tag_auto i) in
       let cls = parse_cls (require tag_cls i) z in
       let trans_by_cls = parse_tbc (require tag_tbc i) z cls.Mfsa.n_classes in
-      let init_unanch = parse_ini (require tag_ini i) z in
       let prefilter =
         Option.map (fun sec -> parse_pfx (payload sec)) (find tag_pfx i)
       in
@@ -631,7 +614,6 @@ let of_string s =
         n_classes = cls.Mfsa.n_classes;
         class_of = cls.Mfsa.class_of_byte;
         trans_by_cls;
-        init_unanch;
         prefilter;
       })
 

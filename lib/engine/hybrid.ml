@@ -12,7 +12,6 @@ type stats = {
   evictions : int;
   capacity : int;
   grows : int;
-  shrinks : int;
   demotions : int;
   cache_bytes : int;
   skipped_bytes : int;
@@ -36,23 +35,18 @@ let start_id = 0
 
 let dead_id = 1
 
-(* Adaptive sizing bands: every [resize_window] steps the engine looks
-   at the window's eviction pressure and hit rate. Sustained eviction
-   pressure — at least one eviction per [grow_pressure] steps, i.e.
-   the working set keeps displacing itself — doubles the live
-   capacity up to [max_grow_factor] times the configured base
-   regardless of the hit rate (a cache flooding at 0.9 still wastes
-   most of its time re-interning; only the hit rate *after* growth
-   tells whether growing helped, and [demote] catches the case where
-   it never does). A hot cache (high rate, no evictions) halves the
-   capacity back toward the base, but only when at most half of it is
-   occupied, so shrinking is pure bookkeeping and never evicts a
-   resident working set. *)
+(* Adaptive sizing band: every [resize_window] steps the engine looks
+   at the window's eviction pressure. Sustained pressure — at least
+   one eviction per [grow_pressure] steps, i.e. the working set keeps
+   displacing itself — doubles the live capacity up to
+   [max_grow_factor] times the configured base regardless of the hit
+   rate (a cache flooding at 0.9 still wastes most of its time
+   re-interning; only the hit rate *after* growth tells whether
+   growing helped, and [demote] catches the case where it never
+   does). Capacity only grows until a flush returns it to the base. *)
 let resize_window = 4096
 
 let grow_pressure = 64
-
-let shrink_above_rate = 0.95
 
 let max_grow_factor = 8
 
@@ -95,14 +89,12 @@ type t = {
   mutable next_stamp : int array;
   edge_sets : int array Int_tbl.t;
   mutable stamps : int array;
-      (* Per-slot mint stamp; -1 marks a freed slot. The mint counter
-         is monotone across flushes, so stamp equality identifies one
-         specific minted row, ever. *)
+      (* Per-slot mint stamp; -1 marks a slot not yet used. The mint
+         counter is monotone across flushes, so stamp equality
+         identifies one specific minted row, ever. *)
   mutable refs : Bytes.t;  (* clock reference bits, '\001' = referenced *)
   index : int Int_tbl.t;  (* key hash -> slot, over slots >= 2 *)
   mutable n_rows : int;
-  mutable free : int list;  (* slots freed by a shrink, reused first *)
-  mutable n_free : int;
   mutable hand : int;  (* clock hand, sweeps slots [2, n_rows) *)
   mutable cap : int;  (* live capacity in rows, adaptive *)
   mutable mint : int;
@@ -124,12 +116,10 @@ type t = {
   mutable flushes : int;
   mutable evictions_c : int;
   mutable grows_c : int;
-  mutable shrinks_c : int;
   mutable demotions_c : int;
   mutable skipped : int;  (* prefilter skips of demoted batch passes *)
   (* Resize-window marks: counter values at the window's start. *)
   mutable win_steps0 : int;
-  mutable win_hits0 : int;
   mutable win_ev0 : int;
 }
 
@@ -169,7 +159,7 @@ let remove t v =
 
 let initial_slots = 16
 
-(* Fresh row storage for [n] slots, all free. *)
+(* Fresh row storage for [n] slots, all unused. *)
 let alloc_rows t n =
   t.keys <- Array.make n [||];
   t.hashes <- Array.make n 0;
@@ -215,8 +205,6 @@ let seed t =
   Int_tbl.reset t.index;
   Int_tbl.reset t.edge_sets;
   t.n_rows <- 0;
-  t.free <- [];
-  t.n_free <- 0;
   t.hand <- 2;
   install t (add_slot t) [||] 0 (* start_id *);
   install t (add_slot t) [||] 0 (* dead_id *)
@@ -243,8 +231,6 @@ let of_imfant ?(cache_size = default_cache_size) im =
       refs = Bytes.empty;
       index = Int_tbl.create 64;
       n_rows = 0;
-      free = [];
-      n_free = 0;
       hand = 2;
       cap = cache_size;
       mint = 0;
@@ -258,11 +244,9 @@ let of_imfant ?(cache_size = default_cache_size) im =
       flushes = 0;
       evictions_c = 0;
       grows_c = 0;
-      shrinks_c = 0;
       demotions_c = 0;
       skipped = 0;
       win_steps0 = 0;
-      win_hits0 = 0;
       win_ev0 = 0;
     }
   in
@@ -288,17 +272,15 @@ let flush t =
 (* ------------------------------------------------- Clock eviction *)
 
 (* Second chance over slots [2, n_rows): a swept row loses its
-   reference bit, a row found without one is the victim. Freed slots
-   (negative stamp) are invisible to the hand. After two full cycles
-   of clearing, the next live row is picked unconditionally — the
-   sweep is bounded even when every row is hot. *)
+   reference bit, a row found without one is the victim. After two
+   full cycles of clearing, the next row is picked unconditionally —
+   the sweep is bounded even when every row is hot. *)
 let clock_pick t =
   let rec sweep budget =
     if t.hand < 2 || t.hand >= t.n_rows then t.hand <- 2;
     let v = t.hand in
     t.hand <- t.hand + 1;
-    if t.stamps.(v) < 0 then sweep budget
-    else if budget <= 0 || Bytes.get t.refs v = '\000' then v
+    if budget <= 0 || Bytes.get t.refs v = '\000' then v
     else begin
       Bytes.set t.refs v '\000';
       sweep (budget - 1)
@@ -306,59 +288,22 @@ let clock_pick t =
   in
   sweep (2 * (t.n_rows - 2))
 
-(* Forget the row living in slot [v]: unregister its configuration.
-   The slot is then either reused in place ([install]) or parked on
-   the free list. *)
-let evict t v =
-  remove t v;
-  t.evictions_c <- t.evictions_c + 1
-
-let free_slot t v =
-  evict t v;
-  t.keys.(v) <- [||];
-  t.stamps.(v) <- -1;
-  Bytes.set t.refs v '\000';
-  t.free <- v :: t.free;
-  t.n_free <- t.n_free + 1
-
-let live_rows t = t.n_rows - 2 - t.n_free
-
-let rec shrink_to_cap t =
-  if live_rows t > t.cap then begin
-    free_slot t (clock_pick t);
-    shrink_to_cap t
-  end
-
 (* Close a resize window if one has elapsed. Only called on the miss
-   path — a workload that never misses never needs more capacity, and
-   any real shrink opportunity still shows up through the occasional
-   miss. Growth keys on eviction pressure alone: a working set
-   marginally over capacity floods the clock at a deceptively high
-   hit rate (every pass re-interns the same overflow), so waiting for
-   the rate to drop would leave the cache stuck churning. Shrinking
-   additionally requires the live rows to fit in half the capacity —
-   then halving frees nothing and a resident working set is never
-   evicted by its own cache. *)
+   path — a workload that never misses never needs more capacity.
+   Growth keys on eviction pressure alone: a working set marginally
+   over capacity floods the clock at a deceptively high hit rate
+   (every pass re-interns the same overflow), so waiting for the rate
+   to drop would leave the cache stuck churning. *)
 let maybe_resize t =
   let w = t.steps - t.win_steps0 in
   if w >= resize_window then begin
-    let rate = float_of_int (t.hits - t.win_hits0) /. float_of_int w in
     let evs = t.evictions_c - t.win_ev0 in
     let max_cap = max_grow_factor * t.base_cache in
     if evs * grow_pressure >= w && t.cap < max_cap then begin
       t.cap <- min max_cap (2 * t.cap);
       t.grows_c <- t.grows_c + 1
-    end
-    else if
-      rate > shrink_above_rate && evs = 0 && t.cap > t.base_cache
-      && live_rows t <= t.cap / 2
-    then begin
-      t.cap <- max t.base_cache (t.cap / 2);
-      t.shrinks_c <- t.shrinks_c + 1;
-      shrink_to_cap t
     end;
     t.win_steps0 <- t.steps;
-    t.win_hits0 <- t.hits;
     t.win_ev0 <- t.evictions_c
   end
 
@@ -381,22 +326,13 @@ let intern t buf len ~copy =
     else begin
       t.interned <- t.interned + 1;
       maybe_resize t;
-      (* The capacity bounds *live* rows, not allocated slots: reusing
-         a freed slot still adds a resident row, so it goes through the
-         same gate as growing the arrays — otherwise free-list refills
-         after a shrink would let the occupancy silently climb past
-         [cap] again. *)
+      (* The capacity bounds the dynamic rows, not the built-ins. *)
       let v =
-        if live_rows t < t.cap then (
-          match t.free with
-          | v :: rest ->
-              t.free <- rest;
-              t.n_free <- t.n_free - 1;
-              v
-          | [] -> add_slot t)
+        if t.n_rows - 2 < t.cap then add_slot t
         else begin
           let v = clock_pick t in
-          evict t v;
+          remove t v;
+          t.evictions_c <- t.evictions_c + 1;
           v
         end
       in
@@ -485,7 +421,8 @@ let count_demoted t n =
    sequential run would build from injections inside the window.
    Every byte is one memo step: a dead byte costs one lookup, the same
    as a literal scan would. Returns the carry-out configuration after
-   the last byte. Demoted, this is iMFAnt's own (prefiltered) pass. *)
+   the last byte: the row's immutable key, so nothing is built. Demoted,
+   this is iMFAnt's own (prefiltered) pass. *)
 let run_chunk t input ~start ~stop ~on_match =
   if t.bypass then begin
     let carry, skipped = Imfant.run_chunk t.im input ~start ~stop ~on_match in
@@ -519,7 +456,7 @@ let run_chunk t input ~start ~stop ~on_match =
       cur := step t !cur (cls i);
       emit t.last_edge (i + 1)
     done;
-    Imfant.carry_of_config t.im t.keys.(!cur)
+    t.keys.(!cur)
   end
 
 let execute t input ~on_match =
@@ -556,10 +493,8 @@ let stats t =
   let word_bytes = 8 in
   let bytes = ref 0 in
   for v = 0 to t.n_rows - 1 do
-    if t.stamps.(v) >= 0 then
-      (* next + next_stamp, key, hash, stamp and index. *)
-      bytes :=
-        !bytes + (word_bytes * ((2 * t.k) + 5 + Array.length t.keys.(v)))
+    (* next + next_stamp, key, hash, stamp and index. *)
+    bytes := !bytes + (word_bytes * ((2 * t.k) + 5 + Array.length t.keys.(v)))
   done;
   Int_tbl.iter
     (fun _ ms -> bytes := !bytes + (word_bytes * (4 + Array.length ms)))
@@ -569,12 +504,11 @@ let stats t =
     hits = t.hits;
     misses = t.misses;
     configs_interned = t.interned;
-    resident_configs = t.n_rows - t.n_free;
+    resident_configs = t.n_rows;
     flushes = t.flushes;
     evictions = t.evictions_c;
     capacity = t.cap;
     grows = t.grows_c;
-    shrinks = t.shrinks_c;
     demotions = t.demotions_c;
     cache_bytes = !bytes;
     skipped_bytes = t.skipped;
@@ -588,11 +522,9 @@ let reset_stats t =
   t.flushes <- 0;
   t.evictions_c <- 0;
   t.grows_c <- 0;
-  t.shrinks_c <- 0;
   t.demotions_c <- 0;
   t.skipped <- 0;
   t.win_steps0 <- 0;
-  t.win_hits0 <- 0;
   t.win_ev0 <- 0
 
 (* ------------------------------------------------------- Streaming *)
@@ -609,8 +541,8 @@ type session = {
       (* Engine epoch [cur] was minted in. *)
   mutable stamp : int;
       (* Mint stamp of [cur]'s slot when the session last left the
-         engine; a differing stamp means the slot was reused (or
-         freed) and [key] must be re-interned. *)
+         engine; a differing stamp means the slot was reused and
+         [key] must be re-interned. *)
   mutable pos : int;
   mutable pending_end : int list;
       (* end-anchored FSAs matched exactly at [pos], descending;

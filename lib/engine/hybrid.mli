@@ -28,9 +28,8 @@
     reused slot reads as a miss, never as a wrong answer. The capacity
     additionally adapts to observed eviction pressure, growing up to
     8x the configured size while the working set keeps displacing
-    itself and shrinking back only when the cache runs hot with at
-    most half its capacity occupied (so a shrink never evicts a
-    resident working set). Rulesets whose configuration space churns
+    itself; it only returns to the configured size on a {!flush}.
+    Rulesets whose configuration space churns
     faster than even the grown cache can hold cost iMFAnt's step plus
     hashing on nearly every byte; {!stats} makes that visible, and
     {!demote} (the [auto:] planner's escape hatch) turns the engine
@@ -66,13 +65,13 @@ type stats = {
       (** Times the full cache was dropped ({!flush}, {!demote}). *)
   evictions : int;
       (** Individual configurations evicted by the clock (victim
-          selection on a full cache, plus rows freed by a shrink). *)
+          selection on a full cache). *)
   capacity : int;
       (** Current live capacity in rows. Starts at the configured
-          cache size; the adaptive bands move it between 1x and 8x
-          that base. A gauge, not a counter. *)
+          cache size; the adaptive band grows it up to 8x that base,
+          and a flush returns it to the base. A gauge, not a
+          counter. *)
   grows : int;  (** Times the adaptive band doubled the capacity. *)
-  shrinks : int;  (** Times the adaptive band halved the capacity. *)
   demotions : int;  (** Times {!demote} turned the engine into iMFAnt. *)
   cache_bytes : int;
       (** Approximate resident cache footprint: memo rows, interned
@@ -86,7 +85,7 @@ type stats = {
 val compile : ?cache_size:int -> Mfsa_model.Mfsa.t -> t
 (** [cache_size] is the base capacity, in rows, of the cache of
     {e dynamically} interned configurations (default 4096). The
-    adaptive bands move the live capacity between 1x and 8x this base.
+    adaptive band grows the live capacity up to 8x this base.
     Correctness never depends on it.
     @raise Invalid_argument if [cache_size < 1]. *)
 
@@ -173,7 +172,8 @@ val run_chunk :
     [input.[start..stop-1]] only. Starts from the position-0
     configuration when [start = 0] and from the dead configuration
     otherwise; end-anchored matches only fire at the global end of
-    input. The returned carry is freshly built. Demoted, this is
+    input. The returned carry is the interned key of the last row:
+    immutable, so nothing is built per call. Demoted, this is
     {!Imfant.run_chunk}. *)
 
 (** {2 Streaming}

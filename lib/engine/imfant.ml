@@ -20,9 +20,6 @@ type t = {
   prefilter : Prefilter.t option;
       (* Literal prefilter, when every unanchored rule has a usable
          mandatory prefix set. *)
-  init_unanch : Bitset.t array;
-      (* Per-state initial sets at positions > 0, as sets: the table
-         bundle's view. The kernel reads [i_unanch]. *)
   (* Word-major activation tables: every FSA set is [nw] consecutive
      words of one flat int array, so the step kernel indexes words
      directly instead of chasing one record per set. *)
@@ -84,8 +81,7 @@ let inits_of nw all keep =
 (* Everything the step kernel reads, in O((transitions + states) × nw)
    word copies and masks — cheap enough for both the compile and the
    table-adoption paths, so artifacts need not store it. *)
-let assemble (z : Mfsa.t) ~k ~class_of ~trans_by_cls ~prefilter
-    ~init_unanch =
+let assemble (z : Mfsa.t) ~k ~class_of ~trans_by_cls ~prefilter =
   let nw = Array.length (Bitset.words (Bitset.create z.Mfsa.n_fsas)) in
   let all = flatten nw z.Mfsa.init_sets in
   let anch = mask_of z.Mfsa.anchored_start in
@@ -102,7 +98,6 @@ let assemble (z : Mfsa.t) ~k ~class_of ~trans_by_cls ~prefilter
     class_of;
     trans_by_cls;
     prefilter;
-    init_unanch;
     nw;
     bel_w;
     bel_lo = Array.init nt (fun tr -> span tr 0 1);
@@ -134,26 +129,15 @@ let compile (z : Mfsa.t) =
           end)
         cc)
     z.Mfsa.idx;
-  (* Per-state initial sets at positions > 0: at position 0 every FSA
-     may start; afterwards only the unanchored ones (and with a
-     prefilter, only at candidate positions). *)
-  let init_unanch =
-    Array.init z.Mfsa.n_states (fun q -> Bitset.copy z.Mfsa.init_sets.(q))
-  in
-  Array.iteri
-    (fun j anchored ->
-      if anchored then Bitset.remove init_unanch.(z.Mfsa.init_of.(j)) j)
-    z.Mfsa.anchored_start;
   assemble z ~k ~class_of
     ~trans_by_cls:(Array.map Vec.to_array by_cls)
     ~prefilter:(Prefilter.analyze z)
-    ~init_unanch
 
 let of_tables (tb : Tables.t) =
   let z = tb.Tables.z in
   assemble z ~k:tb.Tables.n_classes
     ~class_of:tb.Tables.class_of ~trans_by_cls:tb.Tables.trans_by_cls
-    ~prefilter:tb.Tables.prefilter ~init_unanch:tb.Tables.init_unanch
+    ~prefilter:tb.Tables.prefilter
 
 let export_tables t =
   {
@@ -161,7 +145,6 @@ let export_tables t =
     n_classes = t.k;
     class_of = t.class_of;
     trans_by_cls = t.trans_by_cls;
-    init_unanch = t.init_unanch;
     prefilter = t.prefilter;
   }
 
@@ -360,19 +343,6 @@ let config_step t sp cfg cls ~at_start =
   done;
   sp.n_matched <- !m
 
-(* Distinct FSAs active in the current configuration (Table II),
-   gathered into the scratch set [acc]. *)
-let active_fsas t sc acc =
-  let u = Bitset.words acc in
-  Array.fill u 0 t.nw 0;
-  for q = 0 to t.z.Mfsa.n_states - 1 do
-    if sc.cur_stamp.(q) = sc.gen then
-      for w = 0 to t.nw - 1 do
-        u.(w) <- u.(w) lor sc.cur.((q * t.nw) + w)
-      done
-  done;
-  Bitset.cardinal acc
-
 (* End-anchored FSAs only match at the end of the whole input. *)
 let end_anchored t input on_match =
   let len = String.length input and aend = t.z.Mfsa.anchored_end in
@@ -389,24 +359,18 @@ let end_anchored t input on_match =
    literal), so restricting injection is match-preserving; and once
    the active set is empty with injection restricted, every byte
    before the next candidate is a guaranteed no-op, so the loop jumps
-   straight there. The active-set instrumentation ([track], Table II)
-   characterises the automaton itself, so a tracked pass runs
-   unfiltered — skipping dead stretches would zero the very quantity
-   measured. Returns the final scan, the bytes skipped and the Table II
-   sums. *)
-let local_pass t input ~start ~stop ~track ~on_match =
+   straight there. Returns the final scan and the bytes skipped. *)
+let local_pass t input ~start ~stop ~on_match =
   let sc = scan_create t in
   let on_match = end_anchored t input on_match in
-  let use_pf = t.prefilter <> None && not track in
+  let use_pf = t.prefilter <> None in
   let cands =
     match t.prefilter with
-    | Some p when use_pf -> Prefilter.candidates_in p input ~start ~stop
-    | _ -> [||]
+    | Some p -> Prefilter.candidates_in p input ~start ~stop
+    | None -> [||]
   in
   let nc = Array.length cands in
-  let ci = ref 0 and i = ref start in
-  let skipped = ref 0 and sum_active = ref 0 and max_active = ref 0 in
-  let activity = Bitset.create t.z.Mfsa.n_fsas in
+  let ci = ref 0 and i = ref start and skipped = ref 0 in
   while !i < stop do
     (* [ci] = first candidate at or after the current position. *)
     if use_pf then while !ci < nc && cands.(!ci) < !i do incr ci done;
@@ -419,11 +383,6 @@ let local_pass t input ~start ~stop ~track ~on_match =
     let live = step t sc (class_at t input !i) ini in
     drain sc (!i + 1) on_match;
     swap sc;
-    if track then begin
-      let a = active_fsas t sc activity in
-      sum_active := !sum_active + a;
-      if a > !max_active then max_active := a
-    end;
     if use_pf && not live then begin
       (* Empty active set: nothing can happen before the next literal
          candidate — jump there. *)
@@ -434,49 +393,65 @@ let local_pass t input ~start ~stop ~track ~on_match =
     end
     else incr i
   done;
-  (sc, !skipped, !sum_active, !max_active)
+  (sc, !skipped)
 
-let execute t input ~on_match ~track =
-  let len = String.length input in
-  let _, skipped, sum_active, max_active =
-    local_pass t input ~start:0 ~stop:len ~track ~on_match
+let execute t input ~on_match =
+  let _, skipped =
+    local_pass t input ~start:0 ~stop:(String.length input) ~on_match
   in
-  t.skipped_bytes <- t.skipped_bytes + skipped;
-  {
-    positions = len;
-    avg_active =
-      (if len = 0 then 0. else float_of_int sum_active /. float_of_int len);
-    max_active;
-  }
+  t.skipped_bytes <- t.skipped_bytes + skipped
 
 let run t input =
   let acc = ref [] in
-  let _ =
-    execute t input ~track:false ~on_match:(fun fsa e ->
-        acc := { fsa; end_pos = e } :: !acc)
-  in
+  execute t input ~on_match:(fun fsa e -> acc := { fsa; end_pos = e } :: !acc);
   List.rev !acc
 
 let count t input =
   let c = ref 0 in
-  let _ = execute t input ~track:false ~on_match:(fun _ _ -> incr c) in
+  execute t input ~on_match:(fun _ _ -> incr c);
   !c
-
-let run_with_stats t input =
-  let acc = ref [] in
-  let stats =
-    execute t input ~track:true ~on_match:(fun fsa e ->
-        acc := { fsa; end_pos = e } :: !acc)
-  in
-  (List.rev !acc, stats)
 
 let count_per_fsa t input =
   let counts = Array.make t.z.Mfsa.n_fsas 0 in
-  let _ =
-    execute t input ~track:false ~on_match:(fun fsa _ ->
-        counts.(fsa) <- counts.(fsa) + 1)
-  in
+  execute t input ~on_match:(fun fsa _ -> counts.(fsa) <- counts.(fsa) + 1);
   counts
+
+(* Table II characterises the automaton itself, so this pass injects
+   at every position and never skips — skipping dead stretches would
+   zero the very quantity measured. After every byte it counts the
+   distinct FSAs active in the configuration. *)
+let run_with_stats t input =
+  let len = String.length input in
+  let sc = scan_create t in
+  let acc = ref [] in
+  let on_match =
+    end_anchored t input (fun fsa e -> acc := { fsa; end_pos = e } :: !acc)
+  in
+  let active = Bitset.create t.z.Mfsa.n_fsas in
+  let u = Bitset.words active in
+  let sum = ref 0 and peak = ref 0 in
+  for i = 0 to len - 1 do
+    ignore
+      (step t sc (class_at t input i) (if i = 0 then t.i_all else t.i_unanch));
+    drain sc (i + 1) on_match;
+    swap sc;
+    Array.fill u 0 t.nw 0;
+    for q = 0 to t.z.Mfsa.n_states - 1 do
+      if sc.cur_stamp.(q) = sc.gen then
+        for w = 0 to t.nw - 1 do
+          u.(w) <- u.(w) lor sc.cur.((q * t.nw) + w)
+        done
+    done;
+    let a = Bitset.cardinal active in
+    sum := !sum + a;
+    peak := max !peak a
+  done;
+  ( List.rev !acc,
+    {
+      positions = len;
+      avg_active = (if len = 0 then 0. else float_of_int !sum /. float_of_int len);
+      max_active = !peak;
+    } )
 
 (* ------------------------------------------- Chunked entry points *)
 
@@ -485,94 +460,62 @@ let count_per_fsa t input =
    a chunk boundary is the union of (a) threads injected inside the
    chunk — computed here, in parallel, with no knowledge of earlier
    chunks — and (b) the carried-in boundary configuration stepped with
-   no injection at all (carry_step below). A carry is that explicit
-   configuration: active states ascending, paired with their
-   activation sets, as plain arrays safe to hand across domains. It is
-   converted to and from the kernel's words only at chunk boundaries. *)
+   no injection at all (carry_step below). A carry is that
+   configuration in flat form: a fresh immutable array, safe to hand
+   across domains. *)
 
-type carry = int array * Bitset.t array
-
-let empty_carry : carry = ([||], [||])
-
-let carry_of_config t cfg : carry =
-  let nw = t.nw in
-  let m = Array.length cfg / (1 + nw) in
-  ( Array.init m (fun i -> cfg.(i * (1 + nw))),
-    Array.init m (fun i ->
-        let b = Bitset.create t.z.Mfsa.n_fsas in
-        Array.blit cfg ((i * (1 + nw)) + 1) (Bitset.words b) 0 nw;
-        b) )
+type carry = int array
 
 let config_of_scan t sc =
   let out = flat_buffer t in
   Array.sub out 0 (compact t sc.cur sc.cur_stamp sc.gen out)
 
-let carry_of_scan t sc = carry_of_config t (config_of_scan t sc)
-
-let scan_of_carry t ((cs, sets) : carry) =
-  let sc = scan_create t in
-  Array.iteri
-    (fun i q ->
-      sc.cur_stamp.(q) <- sc.gen;
-      Array.blit (Bitset.words sets.(i)) 0 sc.cur (q * t.nw) t.nw)
-    cs;
-  sc
-
 (* Prefilter skips are returned, not accumulated into [t]: chunk passes
    run concurrently over one shared engine. *)
 let run_chunk t input ~start ~stop ~on_match =
-  let sc, skipped, _, _ =
-    local_pass t input ~start ~stop ~track:false ~on_match
-  in
-  (carry_of_scan t sc, skipped)
+  let sc, skipped = local_pass t input ~start ~stop ~on_match in
+  (config_of_scan t sc, skipped)
 
 (* The left-to-right join fix-up: the kernel with injection off. The
    carried set only shrinks, so the loop exits the moment it dies
    (typically a few bytes past the boundary). *)
 let carry_step t carry input ~start ~stop ~on_match =
-  let sc = scan_of_carry t carry in
+  let sc = scan_create t in
+  load t sc carry;
   let on_match = end_anchored t input on_match in
-  let live = ref (Array.length (fst carry) > 0) and i = ref start in
+  let live = ref (Array.length carry > 0) and i = ref start in
   while !i < stop && !live do
     live := step t sc (class_at t input !i) t.i_none;
     drain sc (!i + 1) on_match;
     swap sc;
     incr i
   done;
-  (carry_of_scan t sc, !i - start)
+  (config_of_scan t sc, !i - start)
 
-(* Pointwise union of two boundary configurations (local chunk carry ∪
-   stepped carry-in). Never mutates either argument's sets — the result
-   may share them. *)
-let carry_union ((s1, b1) : carry) ((s2, b2) : carry) : carry =
-  let n1 = Array.length s1 and n2 = Array.length s2 in
-  if n1 = 0 then (s2, b2)
-  else if n2 = 0 then (s1, b1)
+(* Statewise OR of two flat configurations, merged in state order.
+   Never mutates either argument; the result may be one of them. *)
+let carry_union t c1 c2 =
+  let n1 = Array.length c1 and n2 = Array.length c2 and nw = t.nw in
+  if n1 = 0 then c2
+  else if n2 = 0 then c1
   else begin
-    let states = Vec.create () in
-    let sets = ref [] in
-    let i = ref 0 and j = ref 0 in
+    let out = Array.make (n1 + n2) 0 in
+    let i = ref 0 and j = ref 0 and n = ref 0 in
     while !i < n1 || !j < n2 do
-      if !j >= n2 || (!i < n1 && s1.(!i) < s2.(!j)) then begin
-        Vec.push states s1.(!i);
-        sets := b1.(!i) :: !sets;
-        incr i
-      end
-      else if !i >= n1 || s2.(!j) < s1.(!i) then begin
-        Vec.push states s2.(!j);
-        sets := b2.(!j) :: !sets;
-        incr j
-      end
-      else begin
-        let u = Bitset.copy b1.(!i) in
-        ignore (Bitset.union_into ~dst:u b2.(!j));
-        Vec.push states s1.(!i);
-        sets := u :: !sets;
-        incr i;
-        incr j
-      end
+      let q1 = if !i < n1 then c1.(!i) else max_int
+      and q2 = if !j < n2 then c2.(!j) else max_int in
+      let q = min q1 q2 in
+      out.(!n) <- q;
+      for w = 1 to nw do
+        out.(!n + w) <-
+          (if q1 = q then c1.(!i + w) else 0)
+          lor if q2 = q then c2.(!j + w) else 0
+      done;
+      if q1 = q then i := !i + 1 + nw;
+      if q2 = q then j := !j + 1 + nw;
+      n := !n + 1 + nw
     done;
-    (Vec.to_array states, Array.of_list (List.rev !sets))
+    Array.sub out 0 !n
   end
 
 (* ------------------------------------------------------- Streaming *)

@@ -70,7 +70,10 @@ val count : t -> string -> int
 (** Total number of match events. *)
 
 val run_with_stats : t -> string -> match_event list * stats
-(** [run] plus the active-set instrumentation of Table II. *)
+(** [run] plus the active-set instrumentation of Table II: an offline
+    measurement of the automaton, so this pass injects at every
+    position and never uses the prefilter. The other entry points do
+    not count active FSAs. *)
 
 val count_per_fsa : t -> string -> int array
 (** Match counts per merged FSA — used by the equivalence tests and
@@ -86,12 +89,11 @@ val count_per_fsa : t -> string -> int array
     computed by {!run_chunk} — embarrassingly parallel across chunks —
     and the second by {!carry_step} during the left-to-right join. *)
 
-type carry = int array * Mfsa_util.Bitset.t array
-(** An explicit boundary configuration: active states in ascending
-    order paired with their activation sets. Plain arrays with no
-    aliasing into engine scratch — safe to hand across domains. *)
-
-val empty_carry : carry
+type carry = int array
+(** An explicit boundary configuration in flat form (see
+    Configurations below); [[||]] is the empty one. A fresh array
+    with no aliasing into engine scratch — safe to hand across
+    domains. *)
 
 val run_chunk :
   t -> string -> start:int -> stop:int -> on_match:(int -> int -> unit) ->
@@ -115,9 +117,9 @@ val carry_step :
     carried set dies; returns the surviving carry and the bytes
     actually consumed. *)
 
-val carry_union : carry -> carry -> carry
-(** Pointwise union of two boundary configurations; arguments are not
-    mutated. *)
+val carry_union : t -> carry -> carry -> carry
+(** Statewise union of two boundary configurations; arguments are not
+    mutated, and the result may be one of them. *)
 
 (** {2 Streaming}
 
@@ -183,9 +185,6 @@ val config_step : t -> stepper -> int array -> int -> at_start:bool -> unit
     [at_start] and the unanchored ones otherwise. The result is left
     in [sp]'s [next] and [matched] buffers, overwriting the previous
     call's. Allocates nothing. *)
-
-val carry_of_config : t -> int array -> carry
-(** The same configuration as a {!carry}. *)
 
 val session_of_config :
   t -> int array -> pos:int -> pending_end:int list -> session

@@ -80,38 +80,28 @@ module Imfant_engine : Engine_sig.S = struct
   let doc =
     "transition-centric merged-automaton engine (paper \xc2\xa7V, the default)"
 
-  (* [run] goes through the instrumented path so the Table II
-     active-set pressure accumulates behind [stats]; [count] stays on
-     the uninstrumented loop — it is the benchmarks' timing entry
-     point. *)
+  (* [run] counts its calls and bytes; [count] does not — it is the
+     benchmarks' timing entry point. *)
   type compiled = {
     im : Imfant.t;
-    mutable bytes : int;  (* bytes processed by instrumented runs *)
+    mutable bytes : int;  (* bytes processed by runs *)
     mutable runs : int;
-    mutable avg_active : float;  (* of the last run *)
-    mutable max_active : int;  (* peak across runs *)
   }
 
-  let compile z =
-    { im = Imfant.compile z; bytes = 0; runs = 0; avg_active = 0.; max_active = 0 }
+  let of_imfant im = { im; bytes = 0; runs = 0 }
 
-  let of_tables =
-    Some
-      (fun tb ->
-        { im = Imfant.of_tables tb; bytes = 0; runs = 0; avg_active = 0.;
-          max_active = 0 })
+  let compile z = of_imfant (Imfant.compile z)
+
+  let of_tables = Some (fun tb -> of_imfant (Imfant.of_tables tb))
 
   let to_tables c = Some (Imfant.export_tables c.im)
 
   let mfsa c = Imfant.mfsa c.im
 
   let run c input =
-    let events, st = Imfant.run_with_stats c.im input in
-    c.bytes <- c.bytes + st.Imfant.positions;
+    c.bytes <- c.bytes + String.length input;
     c.runs <- c.runs + 1;
-    c.avg_active <- st.Imfant.avg_active;
-    c.max_active <- max c.max_active st.Imfant.max_active;
-    events
+    Imfant.run c.im input
 
   let count c input = Imfant.count c.im input
 
@@ -125,16 +115,10 @@ module Imfant_engine : Engine_sig.S = struct
         "mfsa_engine_states" z.Mfsa.n_states;
       Snapshot.gauge_i ~labels ~help:"Transitions in the compiled automaton"
         "mfsa_engine_transitions" (Mfsa.n_transitions z);
-      Snapshot.counter_i ~labels ~help:"Instrumented runs executed"
+      Snapshot.counter_i ~labels ~help:"Runs executed"
         "mfsa_engine_runs_total" c.runs;
-      Snapshot.counter_i ~labels ~help:"Input bytes processed by instrumented runs"
+      Snapshot.counter_i ~labels ~help:"Input bytes processed by runs"
         "mfsa_engine_bytes_total" c.bytes;
-      Snapshot.gauge ~labels
-        ~help:"Mean active FSAs per position of the last run (Table II)"
-        "mfsa_engine_active_fsas_avg" c.avg_active;
-      Snapshot.gauge_i ~labels
-        ~help:"Peak active FSAs per position across runs (Table II)"
-        "mfsa_engine_active_fsas_max" c.max_active;
       Snapshot.gauge_i ~labels
         ~help:"Byte-equivalence classes indexing the transition tables"
         "mfsa_engine_class_count" (Imfant.n_classes c.im);
@@ -146,8 +130,6 @@ module Imfant_engine : Engine_sig.S = struct
   let reset_stats c =
     c.bytes <- 0;
     c.runs <- 0;
-    c.avg_active <- 0.;
-    c.max_active <- 0;
     Imfant.reset_skipped c.im
 
   (* Nothing behind the counters is warm state: both resets agree. *)
@@ -228,9 +210,6 @@ module Hybrid_engine : Engine_sig.S with type compiled = Hybrid.t = struct
       Snapshot.counter_i ~labels
         ~help:"Adaptive capacity doublings under churn"
         "mfsa_engine_cache_grows_total" s.Hybrid.grows;
-      Snapshot.counter_i ~labels
-        ~help:"Adaptive capacity halvings on a hot cache"
-        "mfsa_engine_cache_shrinks_total" s.Hybrid.shrinks;
       Snapshot.counter_i ~labels
         ~help:"Demotions to a plain iMFAnt scan (planner escape hatch)"
         "mfsa_engine_demotions_total" s.Hybrid.demotions;

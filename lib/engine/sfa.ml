@@ -25,7 +25,6 @@
    sessions, which by nature already arrive in chunks. *)
 
 module Mfsa = Mfsa_model.Mfsa
-module Bitset = Mfsa_util.Bitset
 module Snapshot = Mfsa_obs.Snapshot
 
 type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
@@ -204,14 +203,13 @@ let chunk_pass t input ~slot ~start ~stop =
 let join t input bounds results =
   let d = Array.length results in
   let events = ref [] in
-  let carry = ref Imfant.empty_carry in
+  let carry = ref [||] in
   for i = 0 to d - 1 do
     let local_events, local_carry, skipped = results.(i) in
     t.skipped <- t.skipped + skipped;
     List.iter (fun ev -> events := ev :: !events) local_events;
     if i > 0 then begin
-      let states, _ = !carry in
-      if Array.length states = 0 then t.carry_dead <- t.carry_dead + 1
+      if Array.length !carry = 0 then t.carry_dead <- t.carry_dead + 1
       else begin
         t.carry_live <- t.carry_live + 1;
         let stepped, consumed =
@@ -223,7 +221,7 @@ let join t input bounds results =
         carry := stepped
       end
     end;
-    carry := Imfant.carry_union local_carry !carry
+    carry := Imfant.carry_union t.im local_carry !carry
   done;
   List.sort_uniq cmp_ev !events
   |> List.map (fun (fsa, end_pos) -> { fsa; end_pos })
@@ -232,7 +230,7 @@ let run_chunked t input =
   let len = String.length input in
   let d = t.spec.domains in
   let bounds = chunk_bounds len d in
-  let results = Array.make d ([], Imfant.empty_carry, 0) in
+  let results = Array.make d ([], [||], 0) in
   let workers =
     Array.init (d - 1) (fun j ->
         Domain.spawn (fun () ->
@@ -279,7 +277,7 @@ let run_span t input =
   let len = String.length input in
   let d = t.spec.domains in
   let bounds = chunk_bounds len d in
-  let results = Array.make d ([], Imfant.empty_carry, 0) in
+  let results = Array.make d ([], [||], 0) in
   let chunk_s = Array.make d 0. in
   for slot = 0 to d - 1 do
     let t0 = Unix.gettimeofday () in
@@ -322,14 +320,7 @@ let stats ~engine t =
       "mfsa_sfa_carry_live_total" t.carry_live;
     Snapshot.counter_i ~labels
       ~help:"Bytes the literal prefilter skipped inside chunk passes"
-      "mfsa_sfa_prefilter_skipped_bytes_total"
-      (t.skipped
-      + (match t.kind with
-        | Im -> 0
-        | Hy (reps, _) ->
-            Array.fold_left
-              (fun acc h -> acc + (Hybrid.stats h).Hybrid.skipped_bytes)
-              0 reps));
+      "mfsa_sfa_prefilter_skipped_bytes_total" t.skipped;
     Snapshot.gauge_i ~labels ~help:"Chunk slots (domains) per oversized input"
       "mfsa_sfa_domains" t.spec.domains;
     Snapshot.gauge_i ~labels

@@ -3,13 +3,11 @@
    to come up without re-running its compile-time derivations. *)
 
 module Mfsa = Mfsa_model.Mfsa
-module Bitset = Mfsa_util.Bitset
 
 type t = {
   z : Mfsa.t;
   n_classes : int;
   class_of : bytes;
   trans_by_cls : int array array;
-  init_unanch : Bitset.t array;
   prefilter : Prefilter.t option;
 }

@@ -3,8 +3,10 @@
     A value of this type is the complete compiled state of the
     transition-centric engine ({!Imfant}) minus its mutable scratch:
     the automaton, the byte-class alphabet, the class-indexed
-    transition tables, the activation (init) table for unanchored
-    positions, and the literal prefilter.
+    transition tables and the literal prefilter. The flat activation
+    tables the step kernel reads are cheap word copies of the
+    automaton's own sets, so they are rebuilt on adoption, not
+    stored.
     {!Imfant.export_tables} produces one; {!Imfant.of_tables} and
     {!Hybrid.of_tables} adopt one in O(size of the tables) — no
     re-derivation, which is what makes artifact loading cheap.
@@ -19,8 +21,5 @@ type t = {
   class_of : bytes;  (** 256-entry byte → class map. *)
   trans_by_cls : int array array;
       (** Per class, the transition indices its bytes enable. *)
-  init_unanch : Mfsa_util.Bitset.t array;
-      (** Per-state initial FSA sets at positions > 0 (start-anchored
-          FSAs removed). *)
   prefilter : Prefilter.t option;
 }

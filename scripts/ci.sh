@@ -190,7 +190,7 @@ for series in mfsa_engine_planner_choice mfsa_engine_planner_literal_share \
               mfsa_engine_planner_activation_density \
               mfsa_engine_planner_prefilter \
               mfsa_engine_cache_evictions_total mfsa_engine_cache_capacity \
-              mfsa_engine_cache_grows_total mfsa_engine_cache_shrinks_total \
+              mfsa_engine_cache_grows_total \
               mfsa_engine_demotions_total; do
   grep -q "^$series" "$tmp/metrics_auto.prom" || {
     echo "ci: auto-engine exposition is missing $series" >&2; exit 1; }

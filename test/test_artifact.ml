@@ -30,6 +30,11 @@ let contains s needle =
   let rec scan i = i + k <= n && (String.sub s i k = needle || scan (i + 1)) in
   scan 0
 
+let has_section info tag =
+  List.exists
+    (fun si -> String.starts_with ~prefix:tag si.Artifact.si_name)
+    info.Artifact.in_sections
+
 (* ------------------------------------------------------ round trips *)
 
 let test_round_trip_counts () =
@@ -59,10 +64,12 @@ let test_round_trip_structure () =
       Alcotest.(check (array string)) "patterns" z.Mfsa.patterns z'.Mfsa.patterns)
     mfsas loaded;
   let info = Artifact.describe_string (Artifact.to_string (Artifact.export mfsas)) in
-  Alcotest.(check bool) "a fresh export has no CSR section" false
-    (List.exists
-       (fun si -> String.starts_with ~prefix:"CSR" si.Artifact.si_name)
-       info.Artifact.in_sections)
+  List.iter
+    (fun tag ->
+      Alcotest.(check bool)
+        ("a fresh export has no " ^ tag ^ " section")
+        false (has_section info tag))
+    [ "CSR"; "INI" ]
 
 let test_save_load_file () =
   let path = Filename.temp_file "mfsa_artifact" ".mfsa" in
@@ -183,37 +190,13 @@ let test_capability_gate () =
 
 (* ---------------------------------------------------------- fixture *)
 
-(* test/fixtures/artifact_v1.mfsa is a committed version-1 artifact of
-   the three-rule CLI-walkthrough ruleset, written when META's reserved
-   byte still carried a hybrid stride of 2. A format change that cannot
-   read it any more must bump [Artifact.version] and consciously
-   handle (or reject) version 1 — this test is the tripwire. Every
-   table-loading engine must adopt it with the same counts. *)
-let fixture_path = "fixtures/artifact_v1.mfsa"
+(* Both fixtures hold the three-rule CLI-walkthrough ruleset. Every
+   table-capable engine must adopt a fixture with the per-rule counts
+   of a fresh compile of those rules. *)
+let fixture_rules = [| "hello world"; "hello there"; "he(l|n)p" |]
 
-let test_fixture_loads () =
-  let loaded = Artifact.load fixture_path in
-  List.iter
-    (fun engine ->
-      let engines = List.map (Registry.compile_tables_exn engine) loaded in
-      Alcotest.(check (list int))
-        (engine ^ ": fixture counts") [ 4 ] (counts engines stream))
-    [ "imfant"; "hybrid"; "auto" ];
-  let info = Artifact.describe fixture_path in
-  Alcotest.(check int) "fixture version" 1 info.Artifact.in_version
-
-(* test/fixtures/artifact_v2_tuned.mfsa is a version-2 artifact of the
-   same three rules, written with the literal prefilter switched off and
-   a hybrid cache size of 16 stored in META — knobs that no longer
-   exist. It carries no PFX section, and its stored cache size is
-   ignored. It must load under every table-capable engine with the
-   per-rule counts of a fresh compile, and [auto] must plan the hybrid
-   from it, as it does from the rules. *)
-let tuned_fixture_path = "fixtures/artifact_v2_tuned.mfsa"
-
-let test_tuned_fixture_loads () =
-  let loaded = Artifact.load tuned_fixture_path in
-  let fresh = compile [| "hello world"; "hello there"; "he(l|n)p" |] in
+let check_fixture_counts loaded =
+  let fresh = compile fixture_rules in
   List.iter
     (fun engine ->
       let direct = List.map (Registry.compile_automaton_exn engine) fresh in
@@ -222,9 +205,38 @@ let test_tuned_fixture_loads () =
         (engine ^ ": per-rule counts = fresh compile")
         (List.map (fun e -> Engine_sig.count_per_fsa e stream) direct)
         (List.map (fun e -> Engine_sig.count_per_fsa e stream) reloaded))
-    (Registry.table_capable_names ());
+    (Registry.table_capable_names ())
+
+(* test/fixtures/artifact_v1.mfsa is a committed version-1 artifact,
+   written when META's reserved byte still carried a hybrid stride of
+   2 and the writer still emitted the CSR and INI sections, which the
+   reader now checksums and ignores. A format change that cannot read
+   it any more must bump [Artifact.version] and consciously handle (or
+   reject) version 1 — this test is the tripwire. *)
+let fixture_path = "fixtures/artifact_v1.mfsa"
+
+let test_fixture_loads () =
+  check_fixture_counts (Artifact.load fixture_path);
+  let info = Artifact.describe fixture_path in
+  Alcotest.(check int) "fixture version" 1 info.Artifact.in_version;
+  Alcotest.(check bool) "fixture stores INI" true (has_section info "INI");
+  Alcotest.(check bool) "fixture stores CSR" true (has_section info "CSR")
+
+(* test/fixtures/artifact_v2_tuned.mfsa is a version-2 artifact of the
+   same three rules, written with the literal prefilter switched off and
+   a hybrid cache size of 16 stored in META — knobs that no longer
+   exist. It carries no PFX section, its stored cache size is ignored,
+   and so is its INI section. It must load under every table-capable
+   engine with the per-rule counts of a fresh compile, and [auto] must
+   plan the hybrid from it, as it does from the rules. *)
+let tuned_fixture_path = "fixtures/artifact_v2_tuned.mfsa"
+
+let test_tuned_fixture_loads () =
+  let loaded = Artifact.load tuned_fixture_path in
+  check_fixture_counts loaded;
   let info = Artifact.describe tuned_fixture_path in
   Alcotest.(check int) "fixture version" 2 info.Artifact.in_version;
+  Alcotest.(check bool) "fixture stores INI" true (has_section info "INI");
   Alcotest.(check bool) "no prefilter stored" false
     info.Artifact.in_prefiltered.(0);
   let auto = Registry.compile_tables_exn "auto" (List.hd loaded) in

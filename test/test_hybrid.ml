@@ -361,29 +361,33 @@ let events_of_chunk f =
   let carry = f ~on_match:(fun fsa e -> acc := (fsa, e) :: !acc) in
   (sort !acc, carry)
 
-let carry_equal (s1, b1) (s2, b2) =
-  s1 = s2 && Array.length b1 = Array.length b2
-  && Array.for_all2 Mfsa_util.Bitset.equal b1 b2
-
-(* Without a prefilter both engines inject at every position, so the
-   carries are equal. With one, the hybrid still injects at every
-   position and iMFAnt only at literal candidates, so the hybrid's carry may hold extra threads — started
+(* Carries are flat configurations: states ascending, each followed
+   by its [nw] activation words. Without a prefilter both engines
+   inject at every position, so the carries are equal. With one, the
+   hybrid still injects at every position and iMFAnt only at literal
+   candidates, so the hybrid's carry may hold extra threads — started
    where no required literal begins, so they can never complete a
    match. Those carries must agree on everything a continuation
    observes: iMFAnt's is contained in the hybrid's, and stepping either
    through the rest of the input reports the same matches. *)
-let carry_equiv im input ~stop ((hs, hb) as hy_carry) ((is, ib) as im_carry) =
-  if Im.prefilter im = None then carry_equal hy_carry im_carry
+let carry_equiv im input ~stop hy_carry im_carry =
+  if Im.prefilter im = None then hy_carry = im_carry
   else
-    let contained =
-      Array.for_all2
-        (fun q b ->
-          let rec find k =
-            k < Array.length hs
-            && ((hs.(k) = q && Mfsa_util.Bitset.subset b hb.(k)) || find (k + 1))
-          in
-          find 0)
-        is ib
+    let nw =
+      Array.length
+        (Mfsa_util.Bitset.words
+           (Mfsa_util.Bitset.create (Im.mfsa im).Mfsa.n_fsas))
+    in
+    let rec contained i j =
+      i >= Array.length im_carry
+      || j < Array.length hy_carry
+         &&
+         if hy_carry.(j) <> im_carry.(i) then contained i (j + 1 + nw)
+         else
+           List.for_all
+             (fun w -> im_carry.(i + w) land lnot hy_carry.(j + w) = 0)
+             (List.init nw (fun w -> w + 1))
+           && contained (i + 1 + nw) (j + 1 + nw)
     in
     let continue carry =
       fst
@@ -391,7 +395,7 @@ let carry_equiv im input ~stop ((hs, hb) as hy_carry) ((is, ib) as im_carry) =
            (Im.carry_step im carry input ~start:stop
               ~stop:(String.length input)))
     in
-    contained && continue hy_carry = continue im_carry
+    contained 0 0 && continue hy_carry = continue im_carry
 
 let prop_demotion_between_chunks =
   QCheck_alcotest.to_alcotest

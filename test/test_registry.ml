@@ -226,6 +226,32 @@ let test_faulty_poison_sticky () =
   | exception e ->
       Alcotest.failf "attempt 1 after reset faulted: %s" (Printexc.to_string e))
 
+(* The registry's imfant [run] is what the default engine serves, so
+   it takes iMFAnt's literal prefilter like [Imfant.run] does: dead
+   stretches are skipped, and the events are still exactly iMFAnt's
+   and the activation oracle's. *)
+let test_imfant_run_prefiltered () =
+  let z = merge_rules [ "hello world"; "he(l|n)p" ] in
+  let input =
+    String.make 300 'x' ^ "say hello world" ^ String.make 300 'y' ^ "help"
+  in
+  let im = Im.compile z in
+  check Alcotest.bool "literal-covered" true (Im.prefilter im <> None);
+  let eng = Registry.compile_automaton_exn "imfant" z in
+  let got = events (Engine_sig.run eng input) in
+  check Alcotest.(list (pair int int)) "= Imfant.run"
+    (events (Im.run im input)) got;
+  check Alcotest.(list (pair int int)) "= Activation.run"
+    (List.sort compare (Mfsa_model.Activation.run z input)) got;
+  check Alcotest.bool "two matches" true (List.length got = 2);
+  match
+    Mfsa_obs.Snapshot.number ~labels:[ ("engine", "imfant") ]
+      (Engine_sig.stats eng) "mfsa_engine_prefilter_skipped_bytes_total"
+  with
+  | Some n when n > 0. -> ()
+  | Some n -> Alcotest.failf "run skipped %g bytes, wanted > 0" n
+  | None -> Alcotest.fail "no mfsa_engine_prefilter_skipped_bytes_total"
+
 (* --------------------------------------------- Cross-engine agreement *)
 
 let rules =
@@ -458,6 +484,8 @@ let () =
         [
           Alcotest.test_case "all engines agree" `Quick test_all_engines_agree;
           Alcotest.test_case "stats non-empty" `Quick test_stats_nonempty;
+          Alcotest.test_case "imfant run takes the prefilter" `Quick
+            test_imfant_run_prefiltered;
           qtest prop_engines_agree;
         ] );
       ( "streaming",
