@@ -1104,7 +1104,6 @@ let experiments ~engines ~engine =
     ("table2", E.table2); ("fig9", E.fig9); ("fig10", E.fig10);
     ("ablation-ccsplit", E.ablation_ccsplit);
     ("ablation-cluster", E.ablation_cluster);
-    ("ablation-strategy", E.ablation_strategy);
     ("ablation-bisim", E.ablation_bisim); ("baselines", E.baselines);
     ("engine-compare", fun cfg -> E.engine_compare ?engines cfg);
     ("complexity", E.complexity); ("live-update", live_update);

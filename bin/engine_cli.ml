@@ -14,7 +14,7 @@ let term ?(default = "imfant") () =
           (Printf.sprintf
              "Matching engine, by registry name (default %s). Pass $(b,help) \
               to list the registered engines. Engines report identical match \
-              counts; they differ in execution strategy. Any name can be \
+              counts; they differ only in speed and memory. Any name can be \
               wrapped as $(b,faulty{seed=..,fail_every=..}:)$(docv) for \
               deterministic fault injection."
              default))

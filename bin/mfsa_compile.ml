@@ -14,7 +14,7 @@ let setup_logs debug =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if debug then Logs.Debug else Logs.Warning))
 
-let run rules_file dataset m output emit verbose debug homogeneous strategy =
+let run rules_file dataset m output emit verbose debug homogeneous =
   setup_logs debug;
   let rules =
     match (rules_file, dataset) with
@@ -38,11 +38,7 @@ let run rules_file dataset m output emit verbose debug homogeneous strategy =
       prerr_endline ("mfsa-compile: " ^ msg);
       1
   | Ok rules -> (
-      let strategy =
-        if strategy = "prefix" then Mfsa_model.Merge.Prefix
-        else Mfsa_model.Merge.Greedy
-      in
-      match Pipeline.compile ~strategy ~m rules with
+      match Pipeline.compile ~m rules with
       | Error e ->
           prerr_endline ("mfsa-compile: " ^ Pipeline.error_to_string e);
           1
@@ -147,14 +143,6 @@ let verbose =
 let debug =
   Arg.(value & flag & info [ "debug" ] ~doc:"Enable debug logging of the compilation stages.")
 
-let strategy =
-  Arg.(
-    value
-    & opt (enum [ ("greedy", "greedy"); ("prefix", "prefix") ]) "greedy"
-    & info [ "strategy" ] ~docv:"STRATEGY"
-        ~doc:"Merge seeding strategy: greedy (any label-equal sub-path, max \
-              compression) or prefix (share rule prefixes only).")
-
 let homogeneous =
   Arg.(
     value & flag
@@ -167,6 +155,6 @@ let cmd =
        ~doc:"Compile a regular-expression ruleset into merged MFSAs (extended ANML)")
     Term.(
       const run $ rules_file $ dataset $ m $ output $ emit $ verbose $ debug
-      $ homogeneous $ strategy)
+      $ homogeneous)
 
 let () = Engine_cli.main cmd

@@ -130,10 +130,9 @@ let run paths load threads list_events stats rules metrics deadline retries
                 ~deadline ~retries ~admission)
       | Ok (source, input_path) -> (
           let input = read_file input_path in
-          (* A restricted engine (ac) refuses rulesets outside its
-             domain at compile time, and an engine without a table
-             loader refuses artifacts — user errors, not internal
-             ones. *)
+          (* An engine without a table loader refuses artifacts, and
+             a bad ruleset or artifact fails to load — user errors,
+             not internal ones. *)
           match Engine_cli.compile_source engine source with
           | Error msg ->
               Printf.eprintf "mfsa-match: %s\n" msg;

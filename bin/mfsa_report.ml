@@ -9,7 +9,6 @@ let experiments =
     ("table2", E.table2); ("fig9", E.fig9); ("fig10", E.fig10);
     ("ablation-ccsplit", E.ablation_ccsplit);
     ("ablation-cluster", E.ablation_cluster);
-    ("ablation-strategy", E.ablation_strategy);
     ("ablation-bisim", E.ablation_bisim); ("baselines", E.baselines);
     ("complexity", E.complexity);
   ]

@@ -4,7 +4,6 @@ module Indel = Mfsa_util.Indel
 module Nfa = Mfsa_automata.Nfa
 module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
-module Infant = Mfsa_engine.Infant
 module Imfant = Mfsa_engine.Imfant
 module Engine_sig = Mfsa_engine.Engine_sig
 module Registry = Mfsa_engine.Registry
@@ -270,19 +269,20 @@ let best_of_runs reps f =
   !best
 
 (* Per-automaton single-thread execution times for a given merging
-   factor; M = 1 uses the iNFAnt baseline engine on the plain FSAs,
-   matching the paper's single-FSA configuration. *)
+   factor. Every M runs the same kernel: iMFAnt over
+   [Merge.merge_groups ~m], so M = 1 is per-rule iNFAnt work (one-bit
+   belonging sets). The literal prefilter is off throughout — the
+   paper's iMFAnt runs unfiltered, and a prefiltered merged group
+   timed against an unfiltered baseline would credit the prefilter
+   to the merge. *)
 let automaton_times cfg ~m { fsas; stream; _ } =
-  if m = 1 then
-    Array.to_list fsas
-    |> List.map (fun a ->
-           let eng = Infant.compile a in
-           time_runs cfg.reps (fun () -> ignore (Infant.count eng stream)))
-  else
-    Merge.merge_groups ~m fsas
-    |> List.map (fun z ->
-           let eng = Imfant.compile z in
-           time_runs cfg.reps (fun () -> ignore (Imfant.count eng stream)))
+  Merge.merge_groups ~m fsas
+  |> List.map (fun z ->
+         let eng =
+           Imfant.of_tables
+             { (Imfant.export_tables (Imfant.compile z)) with prefilter = None }
+         in
+         time_runs cfg.reps (fun () -> ignore (Imfant.count eng stream)))
 
 let fig9 cfg =
   let ctxs = contexts cfg in
@@ -746,44 +746,6 @@ let ablation_bisim cfg =
           "exec"; "exec (reduced)" ]
       rows
 
-(* ----------------------------------------------- Strategy ablation *)
-
-let ablation_strategy cfg =
-  let rows =
-    List.map
-      (fun { ds; fsas; stream } ->
-        let before = Report.fsa_totals fsas in
-        let measure strategy =
-          let z =
-            match Merge.merge_groups ~strategy ~m:0 fsas with
-            | [ z ] -> z
-            | _ -> assert false
-          in
-          let eng = Imfant.compile z in
-          let cs, _ = Report.compression ~before ~after:(Report.mfsa_totals [ z ]) in
-          let t = time_runs cfg.reps (fun () -> ignore (Imfant.count eng stream)) in
-          let _, stats = Imfant.run_with_stats eng stream in
-          (cs, stats.Imfant.avg_active, t)
-        in
-        let gcs, gact, gt = measure Mfsa_model.Merge.Greedy in
-        let pcs, pact, pt = measure Mfsa_model.Merge.Prefix in
-        [
-          ds.Datasets.abbr;
-          Printf.sprintf "%.1f%%" gcs; Printf.sprintf "%.2f" gact; Report.fmt_time gt;
-          Printf.sprintf "%.1f%%" pcs; Printf.sprintf "%.2f" pact; Report.fmt_time pt;
-        ])
-      (contexts cfg)
-  in
-  header "Ablation: merge aggressiveness (greedy vs prefix-aligned seeding), M = all"
-  ^ Report.table
-      ~header:
-        [ "Dataset"; "greedy st%"; "g avg act"; "g exec";
-          "prefix st%"; "p avg act"; "p exec" ]
-      rows
-  ^ "Greedy merges any label-equal sub-path (max compression, more live
-     partial matches); prefix-aligned seeding only shares rule prefixes.
-"
-
 (* ----------------------------------------------- Engine comparison *)
 
 type engine_row = {
@@ -802,8 +764,7 @@ type engine_row = {
 let engine_list = function
   | Some names -> names
   | None ->
-      "imfant"
-      :: List.filter (fun n -> n <> "imfant") (Registry.general_names ())
+      "imfant" :: List.filter (fun n -> n <> "imfant") (Registry.names ())
 
 (* One M=all automaton per dataset, every requested registry engine
    compiled on it and timed on the same stream. iMFAnt is the
@@ -1289,6 +1250,6 @@ let run_all cfg =
   String.concat "\n"
     [
       fig1 cfg; table1 cfg; fig7 cfg; fig8 cfg; table2 cfg; fig9 cfg; fig10 cfg;
-      ablation_ccsplit cfg; ablation_cluster cfg; ablation_strategy cfg;
+      ablation_ccsplit cfg; ablation_cluster cfg;
       ablation_bisim cfg; baselines cfg; engine_compare cfg; complexity cfg;
     ]

@@ -82,14 +82,6 @@ val ablation_bisim : config -> string
     reduction, and compression/execution at M=all with and without
     it. *)
 
-val ablation_strategy : config -> string
-(** Ablation of merge aggressiveness: greedy anywhere-seeding (the
-    default, maximal compression) versus prefix-aligned seeding
-    (trie-like, conservative) at M=all — compression, run-time
-    active-set pressure (Table II's metric) and execution time side
-    by side. This probes the compression/activation trade-off behind
-    the paper's DS9/PRO anomalies (§VI-C1). *)
-
 type engine_row = {
   er_dataset : string;  (** Dataset abbreviation. *)
   er_engine : string;  (** A {!Mfsa_engine.Registry} engine name. *)

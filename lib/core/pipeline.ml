@@ -159,7 +159,7 @@ let build_fsa pattern =
   | Ok _ -> assert false
   | Error e -> Error e
 
-let compile ?strategy ?(m = 0) patterns =
+let compile ?(m = 0) patterns =
   if Array.length patterns = 0 then
     Error { rule_index = 0; pattern = ""; message = "empty ruleset" }
   else
@@ -176,7 +176,7 @@ let compile ?strategy ?(m = 0) patterns =
             }
         in
         let t0 = now () in
-        let mfsas = Merge.merge_groups ?strategy ~stats ~m fsas in
+        let mfsas = Merge.merge_groups ~stats ~m fsas in
         let merging = now () -. t0 in
         let t1 = now () in
         let anml = Anml.write mfsas in
@@ -207,8 +207,8 @@ let compile ?strategy ?(m = 0) patterns =
             anml;
           }
 
-let compile_exn ?strategy ?m patterns =
-  match compile ?strategy ?m patterns with
+let compile_exn ?m patterns =
+  match compile ?m patterns with
   | Ok c -> c
   | Error e -> raise (Compile_error e)
 

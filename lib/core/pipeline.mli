@@ -50,18 +50,12 @@ exception Compile_error of error
     used to raise bare [Failure], which nothing upstream could
     distinguish from an internal error.) *)
 
-val compile :
-  ?strategy:Mfsa_model.Merge.strategy ->
-  ?m:int ->
-  string array ->
-  (compiled, error) result
+val compile : ?m:int -> string array -> (compiled, error) result
 (** [compile ~m patterns] runs the whole framework. [m] is the merging
     factor (default 0 = merge the entire ruleset into one MFSA, the
-    paper's "M = all"); [strategy] picks the merge seeding
-    (default {!Mfsa_model.Merge.Greedy}). *)
+    paper's "M = all"). *)
 
-val compile_exn :
-  ?strategy:Mfsa_model.Merge.strategy -> ?m:int -> string array -> compiled
+val compile_exn : ?m:int -> string array -> compiled
 (** @raise Compile_error on a rejected rule. *)
 
 val build_fsa : string -> (Mfsa_automata.Nfa.t, error) result

@@ -29,7 +29,7 @@ let sequential_groups ~m n =
   List.init ((n + m - 1) / m) (fun g ->
       List.init (min m (n - (g * m))) (fun k -> (g * m) + k))
 
-let compile ?(m = 0) ?(cluster = false) ?(ccsplit = false) ?strategy patterns =
+let compile ?(m = 0) ?(cluster = false) ?(ccsplit = false) patterns =
   match Pipeline.build_fsas patterns with
   | Error e -> Error e
   | Ok fsas ->
@@ -41,14 +41,13 @@ let compile ?(m = 0) ?(cluster = false) ?(ccsplit = false) ?strategy patterns =
       in
       let mfsas =
         List.map
-          (fun g ->
-            Merge.merge ?strategy (Array.of_list (List.map (fun i -> fsas.(i)) g)))
+          (fun g -> Merge.merge (Array.of_list (List.map (fun i -> fsas.(i)) g)))
           groups
       in
       Ok (make ~patterns ~groups ~mfsas ~before:(Some before))
 
-let compile_exn ?m ?cluster ?ccsplit ?strategy patterns =
-  match compile ?m ?cluster ?ccsplit ?strategy patterns with
+let compile_exn ?m ?cluster ?ccsplit patterns =
+  match compile ?m ?cluster ?ccsplit patterns with
   | Ok t -> t
   | Error e -> raise (Pipeline.Compile_error e)
 

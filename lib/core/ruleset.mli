@@ -22,21 +22,18 @@ val compile :
   ?m:int ->
   ?cluster:bool ->
   ?ccsplit:bool ->
-  ?strategy:Mfsa_model.Merge.strategy ->
   string array ->
   (t, Pipeline.error) result
 (** [compile rules] builds the matcher. [m] is the merging factor
     (default 0 = one MFSA for the whole ruleset); [cluster] (default
     false) groups rules by INDEL similarity instead of sequentially
     (paper §VIII); [ccsplit] (default false) enables partial
-    character-class merging (paper §VI-A); [strategy] picks the merge
-    seeding (default greedy). *)
+    character-class merging (paper §VI-A). *)
 
 val compile_exn :
   ?m:int ->
   ?cluster:bool ->
   ?ccsplit:bool ->
-  ?strategy:Mfsa_model.Merge.strategy ->
   string array ->
   t
 (** @raise Pipeline.Compile_error on the first offending rule. *)

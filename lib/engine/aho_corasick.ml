@@ -81,21 +81,15 @@ let build patterns =
 
 let n_states t = t.n_states
 
-let start_state = 0
-
-let scan_from t ~state input ~on_match =
-  let q = ref state in
+let scan t input ~on_match =
+  let q = ref 0 in
   String.iteri
     (fun i c ->
       q := t.next.((!q * 256) + Char.code c);
       match t.outputs.(!q) with
       | [] -> ()
       | out -> List.iter (fun id -> on_match id (i + 1)) out)
-    input;
-  !q
-
-let scan t input ~on_match =
-  ignore (scan_from t ~state:start_state input ~on_match)
+    input
 
 let run t input =
   let acc = ref [] in

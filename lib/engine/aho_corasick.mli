@@ -34,19 +34,9 @@ val count_per_pattern : t -> string -> int array
 val n_states : t -> int
 (** Trie nodes (for size comparisons against merged automata). *)
 
-val start_state : int
-(** The automaton's initial state, for {!scan_from}. *)
-
-val scan_from : t -> state:int -> string -> on_match:(int -> int -> unit) -> int
-(** [scan_from t ~state chunk ~on_match] resumes a scan from an
-    explicit automaton state and returns the state after the chunk, so
-    callers can stream input in pieces without missing occurrences
-    that straddle chunk boundaries. [on_match id e] receives the
-    pattern id and the chunk-relative end offset [e] (an occurrence
-    begun in an earlier chunk reports [e < length of the pattern]). *)
-
 val scan : t -> string -> on_match:(int -> int -> unit) -> unit
-(** One-shot scan from {!start_state}; [on_match id e] as above. *)
+(** [scan t input ~on_match] calls [on_match id e] for every
+    occurrence, with the pattern id and the end offset [e]. *)
 
 (** {2 Table round trip}
 

@@ -5,12 +5,12 @@ module Charclass = Mfsa_charset.Charclass
 
 type match_event = { rule : int; end_pos : int }
 
-(* Literal-prefix analysis. [Exact s] means L(t) = {s}; [Prefix p]
+(* Literal-prefix analysis. [Exact s] means L(t) = {s}; [Starts p]
    means every string of L(t) starts with [p] (and nothing stronger is
    claimed). *)
-type shape = Exact of string | Prefix of string
+type shape = Exact of string | Starts of string
 
-let payload = function Exact s | Prefix s -> s
+let payload = function Exact s | Starts s -> s
 
 let longest_common_prefix a b =
   let n = min (String.length a) (String.length b) in
@@ -23,27 +23,27 @@ let rec shape = function
   | Ast.Class cls -> (
       match Charclass.is_singleton cls with
       | Some c -> Exact (String.make 1 c)
-      | None -> Prefix "")
+      | None -> Starts "")
   | Ast.Concat (a, b) -> (
       match shape a with
       | Exact sa -> (
           match shape b with
           | Exact sb -> Exact (sa ^ sb)
-          | Prefix pb -> Prefix (sa ^ pb))
-      | Prefix pa -> Prefix pa)
+          | Starts pb -> Starts (sa ^ pb))
+      | Starts pa -> Starts pa)
   | Ast.Alt (a, b) -> (
       match (shape a, shape b) with
       | Exact sa, Exact sb when String.equal sa sb -> Exact sa
-      | sa, sb -> Prefix (longest_common_prefix (payload sa) (payload sb)))
-  | Ast.Star _ | Ast.Opt _ -> Prefix ""
-  | Ast.Plus a -> Prefix (payload (shape a))
-  | Ast.Repeat (_, 0, _) -> Prefix ""
+      | sa, sb -> Starts (longest_common_prefix (payload sa) (payload sb)))
+  | Ast.Star _ | Ast.Opt _ -> Starts ""
+  | Ast.Plus a -> Starts (payload (shape a))
+  | Ast.Repeat (_, 0, _) -> Starts ""
   | Ast.Repeat (a, m, bound) -> (
       match shape a with
       | Exact s ->
           let rep = String.concat "" (List.init m (fun _ -> s)) in
-          if bound = Some m then Exact rep else Prefix rep
-      | Prefix p -> Prefix p)
+          if bound = Some m then Exact rep else Starts rep
+      | Starts p -> Starts p)
 
 let literal_prefix ast = payload (shape ast)
 

@@ -58,13 +58,12 @@ module type S = sig
   val compile : Mfsa_model.Mfsa.t -> compiled
 
   val of_tables : (Tables.t -> compiled) option
-  (** The engine's {e artifact-loading capability}, an optional in the
-      same spirit as {!Registry.register_restricted}: [Some load]
+  (** The engine's {e artifact-loading capability}: [Some load]
       means the engine can come up directly from a persisted table
-      bundle in O(size) with no re-derivation ([imfant], [hybrid]);
-      [None] means it cannot (the per-rule baselines re-derive
-      per-projection tables the bundle does not carry, and the
-      [faulty{..}] wrapper never loads artifacts), and
+      bundle in O(size) with no re-derivation ([imfant], [hybrid],
+      [auto]); [None] means it cannot (the per-rule [dfa] engine
+      re-derives per-projection tables the bundle does not carry, and
+      the [faulty{..}] wrapper never loads artifacts), and
       {!Registry}-level compilation from an artifact source fails
       with a clean one-line user error instead of a backtrace. *)
 

@@ -1,7 +1,7 @@
 (** Static per-ruleset engine planning — the brain of the [auto:]
     meta-engine.
 
-    No single execution strategy dominates across rulesets
+    No single engine dominates across rulesets
     (BENCH_engines.json): the lazy-DFA hybrid wins literal-heavy
     rulesets by an order of magnitude, the per-rule scanning DFAs win
     small rulesets where determinisation is cheap, and the merged

@@ -83,59 +83,6 @@ let prefix_set ast =
   then Some l
   else None
 
-(* The exact finite language of an AST when it is small — what the
-   [ac] engine accepts as a rule. Unlike {!pset} this never truncates:
-   [Some l] means L(ast) = l. *)
-
-let exact_max_set = 16
-let exact_max_len = 64
-
-let ( let* ) = Option.bind
-
-let capped l =
-  if
-    List.length l <= exact_max_set
-    && List.for_all (fun s -> String.length s <= exact_max_len) l
-  then Some l
-  else None
-
-let rec exact_strings (ast : Ast.t) : string list option =
-  match ast with
-  | Empty -> Some [ "" ]
-  | Char c -> Some [ String.make 1 c ]
-  | Class cls ->
-      let* l = class_strings cls in
-      capped l
-  | Concat (a, b) ->
-      let* la = exact_strings a in
-      let* lb = exact_strings b in
-      capped (dedup (cross la lb))
-  | Alt (a, b) ->
-      let* la = exact_strings a in
-      let* lb = exact_strings b in
-      capped (dedup (la @ lb))
-  | Opt a ->
-      let* la = exact_strings a in
-      capped (dedup ("" :: la))
-  | Star _ | Plus _ -> None
-  | Repeat (_, _, None) -> None
-  | Repeat (a, m, Some n) ->
-      let* la = exact_strings a in
-      let rec power k =
-        if k = 0 then Some [ "" ]
-        else
-          let* rest = power (k - 1) in
-          capped (dedup (cross la rest))
-      in
-      let rec tails k acc =
-        if k > n then Some acc
-        else
-          let* p = power k in
-          let* acc = capped (dedup (p @ acc)) in
-          tails (k + 1) acc
-      in
-      tails m []
-
 type t = {
   ac : Aho_corasick.t;
   lens : int array;  (* length of literal [id], to turn ends into starts *)

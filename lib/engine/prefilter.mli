@@ -65,7 +65,7 @@ val import : ?copy:bool -> tables -> (t, string) result
     [copy] as in {!Aho_corasick.import}: [~copy:false] adopts the
     caller's arrays instead of duplicating them. *)
 
-(** {2 Per-rule analyses} (exposed for the [ac] engine and tests) *)
+(** {2 Per-rule analysis} (exposed for the planner and tests) *)
 
 val prefix_set : Mfsa_frontend.Ast.t -> string list option
 (** The usable mandatory prefix set of one rule: every match starts
@@ -73,8 +73,3 @@ val prefix_set : Mfsa_frontend.Ast.t -> string list option
     {!min_prefix_len} bytes. [None] when no usable set exists (e.g.
     leading [.*], or a nullable pattern). *)
 
-val exact_strings : Mfsa_frontend.Ast.t -> string list option
-(** [Some l] iff the rule's language is exactly the finite set [l]
-    (small caps on set size and string length) — the shape the [ac]
-    engine accepts. Never truncates: this is an exact language, not a
-    prefix approximation. *)

@@ -250,67 +250,6 @@ module Hybrid_engine : Engine_sig.S with type compiled = Hybrid.t = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* infant — the per-rule baseline on the projected FSAs                *)
-(* ------------------------------------------------------------------ *)
-
-module Infant_base = struct
-  let name = "infant"
-
-  let doc = "per-rule iNFAnt baseline on the FSAs projected out of the MFSA"
-
-  type compiled = { z : Mfsa.t; engines : Infant.t array }
-
-  let compile z =
-    { z; engines = Array.init z.Mfsa.n_fsas (fun j -> Infant.compile (Mfsa.project z j)) }
-
-  (* The per-rule baselines derive per-projection tables an artifact
-     does not carry — no table loader. *)
-  let of_tables = None
-
-  let to_tables _ = None
-
-  let mfsa c = c.z
-
-  let run c input =
-    let acc = ref [] in
-    Array.iteri
-      (fun j eng ->
-        List.iter
-          (fun end_pos -> acc := { fsa = j; end_pos } :: !acc)
-          (Infant.run eng input))
-      c.engines;
-    sort_events !acc
-
-  let count c input =
-    Array.fold_left (fun acc eng -> acc + Infant.count eng input) 0 c.engines
-
-  let count_per_fsa c input = Array.map (fun eng -> Infant.count eng input) c.engines
-
-  let stats c =
-    let states =
-      Array.fold_left (fun acc eng -> acc + Infant.n_states eng) 0 c.engines
-    in
-    let labels = [ ("engine", name) ] in
-    [
-      Snapshot.gauge_i ~labels ~help:"Projected per-rule automata"
-        "mfsa_engine_rules" (Array.length c.engines);
-      Snapshot.gauge_i ~labels ~help:"States across the projected automata"
-        "mfsa_engine_states" states;
-      Snapshot.gauge_i ~labels
-        ~help:"Byte-equivalence classes indexing the transition tables"
-        "mfsa_engine_class_count"
-        (Array.fold_left (fun acc eng -> max acc (Infant.n_classes eng)) 0
-           c.engines);
-    ]
-
-  let reset_stats _ = ()
-
-  let reset_counters = reset_stats
-end
-
-module Infant_engine = Buffered_session (Infant_base)
-
-(* ------------------------------------------------------------------ *)
 (* dfa — per-rule scanning DFAs                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -374,249 +313,6 @@ module Dfa_base = struct
 end
 
 module Dfa_engine_engine = Buffered_session (Dfa_base)
-
-(* ------------------------------------------------------------------ *)
-(* decomposed — literal pre-filter + confirmation                      *)
-(* ------------------------------------------------------------------ *)
-
-module Decomposed_base = struct
-  let name = "decomposed"
-
-  let doc = "literal pre-filter + FSA confirmation (Hyperscan-style)"
-
-  type compiled = { z : Mfsa.t; d : Decomposed.t }
-
-  let compile z =
-    { z; d = Decomposed.compile (Array.init z.Mfsa.n_fsas (Mfsa.project z)) }
-
-  let of_tables = None
-
-  let to_tables _ = None
-
-  let mfsa c = c.z
-
-  let run c input =
-    List.map
-      (fun e -> { fsa = e.Decomposed.rule; end_pos = e.Decomposed.end_pos })
-      (Decomposed.run c.d input)
-
-  let count c input = Decomposed.count c.d input
-
-  let count_per_fsa c input =
-    let counts = Array.make c.z.Mfsa.n_fsas 0 in
-    List.iter
-      (fun e -> counts.(e.Decomposed.rule) <- counts.(e.Decomposed.rule) + 1)
-      (Decomposed.run c.d input);
-    counts
-
-  let stats c =
-    let labels = [ ("engine", name) ] in
-    [
-      Snapshot.gauge_i ~labels
-        ~help:"Rules handled through the literal pre-filter"
-        "mfsa_engine_rules_prefiltered" (Decomposed.n_prefiltered c.d);
-      Snapshot.gauge_i ~labels ~help:"Rules scanned conventionally"
-        "mfsa_engine_rules_fallback" (Decomposed.n_fallback c.d);
-    ]
-
-  let reset_stats _ = ()
-
-  let reset_counters = reset_stats
-end
-
-module Decomposed_engine = Buffered_session (Decomposed_base)
-
-(* ------------------------------------------------------------------ *)
-(* ac — pure Aho–Corasick on literal-only rulesets                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A restricted engine: it compiles only rulesets in which every
-   rule's language is a finite set of literals ({!Prefilter.exact_strings}),
-   and rejects anything else at compile time. On those rulesets it is
-   the paper's string-matching special case made concrete — one
-   goto/fail automaton, one table lookup per byte — and serves as the
-   speed-of-light baseline the merged-automaton engines are measured
-   against. Being restricted, it is resolvable and registerable like
-   any engine but excluded from {!general_names}, which is what the
-   cross-engine experiments iterate. *)
-module Ac_engine : Engine_sig.S = struct
-  module Parser = Mfsa_frontend.Parser
-  module Ast = Mfsa_frontend.Ast
-
-  let name = "ac"
-
-  let doc =
-    "Aho\xe2\x80\x93Corasick on literal-only rulesets (restricted: every rule \
-     must denote a finite literal set)"
-
-  type compiled = {
-    z : Mfsa.t;
-    ac : Aho_corasick.t option;  (* None when no rule has a literal *)
-    owner : int array;  (* literal id -> FSA *)
-    lens : int array;  (* literal id -> byte length *)
-  }
-
-  let compile z =
-    let lits = ref [] in
-    let n = z.Mfsa.n_fsas in
-    for j = n - 1 downto 0 do
-      match Parser.parse z.Mfsa.patterns.(j) with
-      | Error _ ->
-          invalid_arg
-            (Printf.sprintf "ac: rule %d does not re-parse: %S" j
-               z.Mfsa.patterns.(j))
-      | Ok rule -> (
-          match Prefilter.exact_strings rule.Ast.ast with
-          | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "ac: rule %d (%S) is not a finite literal set — use a \
-                    general engine"
-                   j z.Mfsa.patterns.(j))
-          | Some l ->
-              (* Engines report non-empty matches only: the empty
-                 literal can never produce one. *)
-              List.iter
-                (fun s -> if String.length s > 0 then lits := (s, j) :: !lits)
-                l)
-    done;
-    let lits = Array.of_list !lits in
-    {
-      z;
-      ac =
-        (if Array.length lits = 0 then None
-         else Some (Aho_corasick.build (Array.map fst lits)));
-      owner = Array.map snd lits;
-      lens = Array.map (fun (s, _) -> String.length s) lits;
-    }
-
-  (* The stored table bundle has no per-rule literal ownership and the
-     rules may not be literal sets anyway. *)
-  let of_tables = None
-
-  let to_tables _ = None
-
-  let mfsa c = c.z
-
-  (* Occurrence -> match event, applying the per-FSA anchors and the
-     one-report-per-(FSA, end) convention shared by every engine. *)
-  let scan c input ~on_match =
-    match c.ac with
-    | None -> ()
-    | Some ac ->
-        let z = c.z in
-        let len = String.length input in
-        let last = Array.make z.Mfsa.n_fsas (-1) in
-        ignore
-          (Aho_corasick.scan_from ac ~state:Aho_corasick.start_state input
-             ~on_match:(fun id e ->
-               let j = c.owner.(id) in
-               if
-                 last.(j) <> e
-                 && ((not z.Mfsa.anchored_start.(j)) || e = c.lens.(id))
-                 && ((not z.Mfsa.anchored_end.(j)) || e = len)
-               then begin
-                 last.(j) <- e;
-                 on_match j e
-               end))
-
-  let run c input =
-    let acc = ref [] in
-    scan c input ~on_match:(fun fsa e -> acc := { fsa; end_pos = e } :: !acc);
-    sort_events !acc
-
-  let count c input =
-    let n = ref 0 in
-    scan c input ~on_match:(fun _ _ -> incr n);
-    !n
-
-  let count_per_fsa c input =
-    let counts = Array.make c.z.Mfsa.n_fsas 0 in
-    scan c input ~on_match:(fun j _ -> counts.(j) <- counts.(j) + 1);
-    counts
-
-  let stats c =
-    let labels = [ ("engine", name) ] in
-    [
-      Snapshot.gauge_i ~labels ~help:"Rules compiled to literal sets"
-        "mfsa_engine_rules" c.z.Mfsa.n_fsas;
-      Snapshot.gauge_i ~labels ~help:"Literals in the Aho\xe2\x80\x93Corasick automaton"
-        "mfsa_engine_literals" (Array.length c.owner);
-      Snapshot.gauge_i ~labels ~help:"Aho\xe2\x80\x93Corasick trie states"
-        "mfsa_engine_states"
-        (match c.ac with None -> 1 | Some ac -> Aho_corasick.n_states ac);
-    ]
-
-  let reset_stats _ = ()
-
-  let reset_counters = reset_stats
-
-  (* Streaming is native: the scanner state carries across chunks, so
-     literals straddling chunk boundaries are found without buffering
-     the stream. *)
-  type session = {
-    c : compiled;
-    mutable state : int;
-    mutable pos : int;  (* stream offset of the next byte *)
-    mutable last : int array;  (* per-FSA last reported global end *)
-    mutable pending_end : int list;
-        (* end-anchored FSAs matched exactly at [pos] *)
-  }
-
-  let session c =
-    {
-      c;
-      state = Aho_corasick.start_state;
-      pos = 0;
-      last = Array.make c.z.Mfsa.n_fsas (-1);
-      pending_end = [];
-    }
-
-  let feed s chunk =
-    let c = s.c in
-    let z = c.z in
-    let len = String.length chunk in
-    if len > 0 then s.pending_end <- [];
-    let acc = ref [] in
-    (match c.ac with
-    | None -> ()
-    | Some ac ->
-        s.state <-
-          Aho_corasick.scan_from ac ~state:s.state chunk ~on_match:(fun id e ->
-              let j = c.owner.(id) in
-              let ge = s.pos + e in
-              if
-                s.last.(j) <> ge
-                && ((not z.Mfsa.anchored_start.(j)) || ge = c.lens.(id))
-              then
-                if z.Mfsa.anchored_end.(j) then begin
-                  (* Valid only if the stream ends exactly here — keep
-                     it pending while this chunk's remainder can still
-                     invalidate it. *)
-                  if e = len then begin
-                    s.last.(j) <- ge;
-                    s.pending_end <- j :: s.pending_end
-                  end
-                end
-                else begin
-                  s.last.(j) <- ge;
-                  acc := { fsa = j; end_pos = ge } :: !acc
-                end));
-    s.pos <- s.pos + len;
-    sort_events !acc
-
-  let finish s =
-    List.sort_uniq Int.compare s.pending_end
-    |> List.map (fun j -> { fsa = j; end_pos = s.pos })
-
-  let reset s =
-    s.state <- Aho_corasick.start_state;
-    s.pos <- 0;
-    Array.fill s.last 0 (Array.length s.last) (-1);
-    s.pending_end <- []
-
-  let position s = s.pos
-end
 
 (* ------------------------------------------------------------------ *)
 (* auto — the planner meta-engine                                      *)
@@ -797,33 +493,18 @@ let table : (string, (module Engine_sig.S)) Hashtbl.t = Hashtbl.create 8
 
 let register (module E : Engine_sig.S) = Hashtbl.replace table E.name (module E : Engine_sig.S)
 
-(* Restricted engines compile only a subset of rulesets (they raise
-   on the rest), so the cross-engine experiments must not iterate
-   them blindly; they stay resolvable and help-listed. *)
-let restricted : (string, unit) Hashtbl.t = Hashtbl.create 2
-
-let register_restricted (module E : Engine_sig.S) =
-  register (module E);
-  Hashtbl.replace restricted E.name ()
-
 let () =
   List.iter register
     [
       (module Imfant_engine);
       (module Hybrid_engine);
-      (module Infant_engine);
       (module Dfa_engine_engine);
-      (module Decomposed_engine);
       (module Auto_engine);
-    ];
-  register_restricted (module Ac_engine)
+    ]
 
 let names () =
   Hashtbl.fold (fun name _ acc -> name :: acc) table []
   |> List.sort String.compare
-
-let general_names () =
-  List.filter (fun n -> not (Hashtbl.mem restricted n)) (names ())
 
 let unknown_message name =
   Printf.sprintf

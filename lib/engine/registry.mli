@@ -11,23 +11,11 @@
     Registered out of the box:
 
     - ["imfant"] — {!Imfant}, the transition-centric MFSA engine
-      (paper §V); accumulates the active-set instrumentation of
-      Table II across runs.
+      (paper §V), the default.
     - ["hybrid"] — {!Hybrid}, the lazy-DFA configuration cache over
       iMFAnt.
-    - ["infant"] — {!Infant} on each FSA projected out of the MFSA:
-      the paper's per-rule baseline (M = 1 work on the merged
-      semantics).
     - ["dfa"] — {!Dfa_engine} per projected rule: scanning DFAs,
       subset construction + Hopcroft.
-    - ["decomposed"] — {!Decomposed} over the projected rules:
-      literal pre-filter + confirmation.
-    - ["ac"] — pure {!Aho_corasick} over the rules' literals. A
-      {e restricted} engine: it compiles only rulesets in which every
-      rule denotes a finite literal set
-      ({!Prefilter.exact_strings}) and raises [Invalid_argument] on
-      anything else, so it appears in {!names}/{!help} but not in
-      {!general_names}.
     - ["auto"] — the {!Planner} meta-engine: picks ["imfant"],
       ["hybrid"] or ["dfa"] per ruleset from static compile-time
       features (literal coverage, rule count, merged size), then
@@ -37,9 +25,14 @@
       state across the demotion. Its stats are the inner engine's series
       relabelled [engine="auto"] plus [mfsa_engine_planner_*].
 
-    The per-rule baselines satisfy the streaming half of the signature
-    by re-scanning a buffered copy of the stream (documented in
-    {!Engine_sig.S}); their match semantics are identical.
+    The per-rule ["dfa"] engine satisfies the streaming half of the
+    signature by re-scanning a buffered copy of the stream (documented
+    in {!Engine_sig.S}); its match semantics are identical.
+
+    The paper's other baselines — per-rule {!Infant}, {!Decomposed}
+    and {!Aho_corasick} — are plain modules, not registry engines: no
+    plan picks them, and the experiments that use them call them
+    directly.
 
     Beyond the table, the registry resolves the {!Faulty} wrapper
     grammar: any name of the form [faulty{k=v,...}:<engine>] (the
@@ -69,18 +62,8 @@ val underlying : string -> string
     fault-injected serving run compares against as its clean
     sequential baseline. The identity on non-wrapper names. *)
 
-val register_restricted : (module Engine_sig.S) -> unit
-(** {!register}, additionally marking the name as {e restricted}: the
-    engine accepts only a subset of rulesets (raising on the rest), so
-    it is excluded from {!general_names} and hence from the blind
-    cross-engine iteration of the experiments. *)
-
 val names : unit -> string list
 (** Registered names, sorted. *)
-
-val general_names : unit -> string list
-(** {!names} minus the restricted engines — the set safe to compile
-    against an arbitrary ruleset. *)
 
 val doc : string -> string option
 (** The engine's one-line description. *)

@@ -68,7 +68,7 @@ let refresh t =
   in
   t.snap <- { sgen = t.gen; payload }
 
-let create ?strategy ?(gc_threshold = 0.25) ?(engine = "imfant") () =
+let create ?(gc_threshold = 0.25) ?(engine = "imfant") () =
   if gc_threshold < 0. || gc_threshold > 1. then
     invalid_arg "Live.create: gc_threshold must be within [0, 1]";
   if Option.is_none (Registry.find engine) then
@@ -76,7 +76,7 @@ let create ?strategy ?(gc_threshold = 0.25) ?(engine = "imfant") () =
   {
     gc_threshold;
     engine_name = engine;
-    builder = Builder.create ?strategy ();
+    builder = Builder.create ();
     slot_of = Hashtbl.create 64;
     rule_of = Hashtbl.create 64;
     patterns_tbl = Hashtbl.create 64;
@@ -96,8 +96,8 @@ let register t pattern slot =
   Hashtbl.replace t.patterns_tbl id pattern;
   id
 
-let of_rules ?strategy ?gc_threshold ?engine patterns =
-  let t = create ?strategy ?gc_threshold ?engine () in
+let of_rules ?gc_threshold ?engine patterns =
+  let t = create ?gc_threshold ?engine () in
   match Pipeline.build_fsas patterns with
   | Error e -> Error e
   | Ok fsas ->
@@ -118,16 +118,16 @@ let of_rules ?strategy ?gc_threshold ?engine patterns =
    engine comes up eagerly from the persisted tables, no
    re-derivation. Updates after adoption refresh through the normal
    freeze-and-recompile path. *)
-let of_source ?strategy ?gc_threshold ?engine source =
+let of_source ?gc_threshold ?engine source =
   let module Source = Mfsa_engine.Source in
   match source with
-  | Source.Rules patterns -> of_rules ?strategy ?gc_threshold ?engine patterns
+  | Source.Rules patterns -> of_rules ?gc_threshold ?engine patterns
   | Source.Rules_file path ->
-      of_rules ?strategy ?gc_threshold ?engine (Source.read_rules_file path)
+      of_rules ?gc_threshold ?engine (Source.read_rules_file path)
   | Source.Automata _ | Source.Artifact_file _ | Source.Artifact_bytes _ ->
       let adopt z eng =
-        let t = create ?strategy ?gc_threshold ?engine () in
-        let b = Builder.of_mfsa ?strategy z in
+        let t = create ?gc_threshold ?engine () in
+        let b = Builder.of_mfsa z in
         let t = { t with builder = b } in
         Array.iteri (fun j p -> ignore (register t p j : int)) z.Mfsa.patterns;
         t.updates_ok <- z.Mfsa.n_fsas;

@@ -51,16 +51,11 @@ type stats = {
   compactions : int;  (** Compaction passes run so far. *)
 }
 
-val create :
-  ?strategy:Mfsa_model.Merge.strategy ->
-  ?gc_threshold:float ->
-  ?engine:string ->
-  unit ->
-  t
-(** Empty live ruleset at generation 0. [strategy] (default greedy)
-    seeds every merge; [gc_threshold] (default 0.25) is the fraction
-    of dead transitions that triggers a compaction pass after a
-    removal — 0 compacts on every removal, 1 (almost) never.
+val create : ?gc_threshold:float -> ?engine:string -> unit -> t
+(** Empty live ruleset at generation 0. [gc_threshold] (default 0.25)
+    is the fraction of dead transitions that triggers a compaction
+    pass after a removal — 0 compacts on every removal, 1 (almost)
+    never.
     [engine] (default ["imfant"]) names the execution engine — any
     name registered in {!Mfsa_engine.Registry} — compiled by every
     snapshot; matching semantics are identical across engines, so the
@@ -71,7 +66,6 @@ val create :
     [engine] is not a registered engine name. *)
 
 val of_rules :
-  ?strategy:Mfsa_model.Merge.strategy ->
   ?gc_threshold:float ->
   ?engine:string ->
   string array ->
@@ -81,7 +75,6 @@ val of_rules :
     generation. *)
 
 val of_source :
-  ?strategy:Mfsa_model.Merge.strategy ->
   ?gc_threshold:float ->
   ?engine:string ->
   Mfsa_engine.Source.t ->

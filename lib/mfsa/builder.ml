@@ -8,8 +8,6 @@ module Charclass = Mfsa_charset.Charclass
 module Bitset = Mfsa_util.Bitset
 module Vec = Mfsa_util.Vec
 
-type strategy = Greedy | Prefix
-
 type stats = {
   seeds : int;
   chains : int;
@@ -24,7 +22,6 @@ type stats = {
    Per-slot metadata ([init_of], [finals_of], anchors, patterns) is
    indexed by merged-FSA slot; [init_of] holds -1 for retired slots. *)
 type t = {
-  strategy : strategy;
   mutable cap : int;  (* belonging-bitset capacity, >= n_slots *)
   mutable n_states : int;
   mutable row : int Vec.t;
@@ -47,9 +44,8 @@ type t = {
   mutable merged_states : int;
 }
 
-let create ?(strategy = Greedy) () =
+let create () =
   {
-    strategy;
     cap = 1;
     n_states = 0;
     row = Vec.create ();
@@ -141,22 +137,6 @@ let class_of_label = function
    Implements the body of Algorithm 1's outer loop: search for common
    sub-paths (lines 5-19), relabel (line 20), generateNew (line 21). *)
 let merge_into b (a : Nfa.t) ~slot =
-  (* Under the Prefix strategy, chains may only start where both
-     automata start: the incoming FSA's initial transitions against
-     transitions leaving an already-merged FSA's initial state. *)
-  let z_inits =
-    lazy
-      (let t = Hashtbl.create 8 in
-       Vec.iter (fun q -> if q >= 0 then Hashtbl.replace t q ()) b.init_of;
-       t)
-  in
-  let seed_allowed tz ta =
-    match b.strategy with
-    | Greedy -> true
-    | Prefix ->
-        a.Nfa.transitions.(ta).Nfa.src = a.Nfa.start
-        && Hashtbl.mem (Lazy.force z_inits) (Vec.get b.row tz)
-  in
   let a_out = Nfa.out a in
   let nt_a = Array.length a.Nfa.transitions in
   (* The relabeling under construction. [amap]: a-state → z-state;
@@ -227,7 +207,7 @@ let merge_into b (a : Nfa.t) ~slot =
       let cls = class_of_label a.Nfa.transitions.(ta).Nfa.label in
       match
         List.find_opt
-          (fun tz -> seed_allowed tz ta && pair_consistent tz ta)
+          (fun tz -> pair_consistent tz ta)
           (List.rev (multi_find b.by_label cls))
       with
       | Some tz ->
@@ -445,8 +425,8 @@ let freeze b =
     Some (z, slot_of_id)
   end
 
-let of_mfsa ?strategy (z : Mfsa.t) =
-  let b = create ?strategy () in
+let of_mfsa (z : Mfsa.t) =
+  let b = create () in
   ensure_cap b (max 1 z.Mfsa.n_fsas);
   b.n_states <- z.Mfsa.n_states;
   Array.iteri

@@ -27,8 +27,6 @@
 
 type t
 
-type strategy = Greedy | Prefix  (** See {!Merge.strategy}. *)
-
 type stats = {
   seeds : int;
   chains : int;
@@ -38,11 +36,10 @@ type stats = {
 (** Cumulative merge statistics over every {!add} so far; the fields
     are those of {!Merge.stats}. *)
 
-val create : ?strategy:strategy -> unit -> t
-(** Empty builder. [strategy] (default {!Greedy}) seeds every
-    subsequent {!add}. *)
+val create : unit -> t
+(** Empty builder. *)
 
-val of_mfsa : ?strategy:strategy -> Mfsa.t -> t
+val of_mfsa : Mfsa.t -> t
 (** Reconstitute a builder from a frozen MFSA: slot [j] holds merged
     FSA [j], all structure live. O(states + transitions). *)
 

@@ -4,8 +4,6 @@ let log_src = Logs.Src.create "mfsa.merge" ~doc:"MFSA merging (Algorithm 1)"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type strategy = Builder.strategy = Greedy | Prefix
-
 type stats = Builder.stats = {
   seeds : int;
   chains : int;
@@ -18,7 +16,7 @@ let freeze_exn b =
   | Some (z, _) -> z
   | None -> assert false (* every caller adds at least one FSA *)
 
-let merge ?(strategy = Greedy) ?stats fsas =
+let merge ?stats fsas =
   let n_fsas = Array.length fsas in
   if n_fsas = 0 then invalid_arg "Merge.merge: empty FSA set";
   Array.iter
@@ -26,7 +24,7 @@ let merge ?(strategy = Greedy) ?stats fsas =
       if not (Nfa.is_eps_free a) then
         invalid_arg "Merge.merge: automata must be ε-free")
     fsas;
-  let b = Builder.create ~strategy () in
+  let b = Builder.create () in
   (* The first automaton is copied as-is (Algorithm 1 line 3); adding
      to an empty builder does exactly that, since no seed can be
      found. *)
@@ -38,7 +36,7 @@ let merge ?(strategy = Greedy) ?stats fsas =
   (match stats with Some cell -> cell := Builder.stats b | None -> ());
   freeze_exn b
 
-let merge_into ?(strategy = Greedy) ?stats z a j =
+let merge_into ?stats z a j =
   if not (Nfa.is_eps_free a) then
     invalid_arg "Merge.merge_into: automata must be ε-free";
   if j <> z.Mfsa.n_fsas then
@@ -46,7 +44,7 @@ let merge_into ?(strategy = Greedy) ?stats z a j =
       (Printf.sprintf
          "Merge.merge_into: identifier %d must be the next free one (%d)" j
          z.Mfsa.n_fsas);
-  let b = Builder.of_mfsa ~strategy z in
+  let b = Builder.of_mfsa z in
   let slot = Builder.add b a in
   assert (slot = j);
   (match stats with Some cell -> cell := Builder.stats b | None -> ());
@@ -60,7 +58,7 @@ let add_stats a b =
     merged_states = a.merged_states + b.merged_states;
   }
 
-let merge_groups ?strategy ?stats ~m fsas =
+let merge_groups ?stats ~m fsas =
   let n = Array.length fsas in
   if n = 0 then invalid_arg "Merge.merge_groups: empty FSA set";
   if m < 0 then invalid_arg "Merge.merge_groups: negative merging factor";
@@ -75,10 +73,10 @@ let merge_groups ?strategy ?stats ~m fsas =
   List.rev_map
     (fun group ->
       match stats with
-      | None -> merge ?strategy group
+      | None -> merge group
       | Some acc ->
           let s = ref { seeds = 0; chains = 0; merged_transitions = 0; merged_states = 0 } in
-          let z = merge ?strategy ~stats:s group in
+          let z = merge ~stats:s group in
           acc := add_stats !acc !s;
           z)
     !groups

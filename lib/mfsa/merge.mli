@@ -20,20 +20,10 @@
     The three outcomes of the paper's search are all covered: no
     common sub-path (pure copy with disjoint relabeling), partial
     overlap (belonging update on the shared prefix), and identical
-    automata (pure belonging update, no growth). *)
+    automata (pure belonging update, no growth).
 
-type strategy = Builder.strategy =
-  | Greedy
-      (** Seed a merge chain at any label-equal transition pair — the
-          maximal reading of the paper's X/Y tuple sets. Highest
-          compression; can merge mid-rule sub-paths, which raises the
-          run-time activation pressure (Table II). *)
-  | Prefix
-      (** Seed chains only at initial states (the incoming FSA's start
-          against an existing initial state), producing trie-like
-          shared prefixes. Lower compression, lower activation
-          pressure — the conservative end of the design space,
-          evaluated as an ablation by the benchmark harness. *)
+    A chain may start at any label-equal transition pair — the maximal
+    reading of the paper's X/Y tuple sets. *)
 
 type stats = Builder.stats = {
   seeds : int;  (** Label-equal transition pairs that started a chain. *)
@@ -46,21 +36,14 @@ type stats = Builder.stats = {
           states. *)
 }
 
-val merge :
-  ?strategy:strategy -> ?stats:stats ref -> Mfsa_automata.Nfa.t array -> Mfsa.t
+val merge : ?stats:stats ref -> Mfsa_automata.Nfa.t array -> Mfsa.t
 (** [merge fsas] merges all automata into one MFSA; identifier [j] is
     the index of the automaton in [fsas]. Automata must be ε-free
-    ({!Mfsa_automata.Epsilon.remove} first). [strategy] defaults to
-    {!Greedy}.
+    ({!Mfsa_automata.Epsilon.remove} first).
     @raise Invalid_argument on an empty array or ε-arcs. *)
 
 val merge_into :
-  ?strategy:strategy ->
-  ?stats:stats ref ->
-  Mfsa.t ->
-  Mfsa_automata.Nfa.t ->
-  int ->
-  Mfsa.t
+  ?stats:stats ref -> Mfsa.t -> Mfsa_automata.Nfa.t -> int -> Mfsa.t
 (** [merge_into z a j] adds one more compiled FSA to an {e existing}
     MFSA, reusing the cascaded body of Algorithm 1 instead of
     re-merging the whole group: the incoming automaton is searched
@@ -76,11 +59,7 @@ val merge_into :
     @raise Invalid_argument on ε-arcs or [j <> z.n_fsas]. *)
 
 val merge_groups :
-  ?strategy:strategy ->
-  ?stats:stats ref ->
-  m:int ->
-  Mfsa_automata.Nfa.t array ->
-  Mfsa.t list
+  ?stats:stats ref -> m:int -> Mfsa_automata.Nfa.t array -> Mfsa.t list
 (** Partitions the ruleset into ⌈N/M⌉ consecutive groups of (up to)
     [m] automata, as in the paper's evaluation ("sampling the input M
     REs sequentially from the dataset"), and merges each group.

@@ -27,6 +27,26 @@ if printf '%s' "$out" | grep -q DIVERGED; then
   echo "ci: an engine's match counts diverged from iMFAnt" >&2
   exit 1
 fi
+# ... and every registered engine (the `-e help` listing minus the
+# wrapper grammars) must have a row on each of the six datasets, so an
+# engine that drops out of the comparison cannot pass the gate above
+# unchecked.
+engines=$(dune exec --display quiet bin/mfsa_match.exe -- -e help \
+  | awk '$1 !~ /[{:]/ { print $1 }')
+n_engines=$(printf '%s\n' "$engines" | grep -c .)
+for ds in BRO DS9 PEN PRO RG1 TCP; do
+  for e in $engines; do
+    if ! printf '%s\n' "$out" | grep -Eq "^$ds +$e +"; then
+      echo "ci: engine-compare has no $e row on $ds" >&2
+      exit 1
+    fi
+  done
+done
+rows=$(printf '%s\n' "$out" | grep -Ec ' (ok|DIVERGED)$')
+if [ "$rows" -ne $((6 * n_engines)) ]; then
+  echo "ci: engine-compare printed $rows rows, expected 6 x $n_engines" >&2
+  exit 1
+fi
 
 echo "== planner + eviction ablation (planner gate) =="
 # The auto meta-engine must report exactly iMFAnt's matches on every

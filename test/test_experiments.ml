@@ -33,7 +33,6 @@ let artefacts =
     ("fig10", E.fig10, [ "greedy in-order scheduler"; "Best Perf. M=1" ]);
     ("ablation-ccsplit", E.ablation_ccsplit, [ "cc-split" ]);
     ("ablation-cluster", E.ablation_cluster, [ "clustered" ]);
-    ("ablation-strategy", E.ablation_strategy, [ "greedy"; "prefix" ]);
     ("ablation-bisim", E.ablation_bisim, [ "bisimulation"; "reduced" ]);
     ("baselines", E.baselines, [ "D2FA"; "Aho-Corasick"; "2-stride"; "iMFAnt" ]);
   ]

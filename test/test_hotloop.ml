@@ -83,18 +83,6 @@ let test_prefix_sets () =
   check sl "class expands" (Some [ "0a"; "1a" ]) (prefix_set "[01]a");
   check sl "nullable" None (prefix_set "(ab)?")
 
-let test_exact_strings () =
-  let sl = Alcotest.(option (list string)) in
-  let exact src =
-    Option.map (List.sort String.compare)
-      (Prefilter.exact_strings (P.parse_exn src).Mfsa_frontend.Ast.ast)
-  in
-  check sl "literal" (Some [ "foo" ]) (exact "foo");
-  check sl "alt" (Some [ "bar"; "baz" ]) (exact "ba(r|z)");
-  check sl "opt" (Some [ "ab"; "abc" ]) (exact "ab(c)?");
-  check sl "star is infinite" None (exact "ab*");
-  check sl "unbounded repeat" None (exact "a{2,}")
-
 let test_prefilter_analyze () =
   (* Every rule carries a usable literal — the filter builds. *)
   let z = mfsa_of [ "hello"; "worl+d" ] in
@@ -122,7 +110,7 @@ let engines_equal ?(msg = "") z input =
       check (Alcotest.list event)
         (Printf.sprintf "%s = oracle %s" name msg)
         base opt)
-    (Registry.general_names ())
+    (Registry.names ())
 
 let test_known_divergence_candidates () =
   (* Hand-picked shapes that stress each optimisation's edge cases:
@@ -159,7 +147,7 @@ let prop_engines_equal_oracle =
           else
             QCheck2.Test.fail_reportf "%s diverges on %S: %d vs %d events" name
               input (List.length base) (List.length opt))
-        (Registry.general_names ()))
+        (Registry.names ()))
 
 (* Wide-alphabet rules: large class counts and binary bytes through
    the partition map. *)
@@ -270,57 +258,6 @@ let test_skip_counter_moves () =
   check Alcotest.int "demoted hybrid = imfant skips" im_skipped
     (Hy.stats hy).Hy.skipped_bytes
 
-(* ------------------------------------------------------ ac engine *)
-
-let test_ac_literal_ruleset () =
-  let z = mfsa_of [ "foo"; "ba(r|z)" ] in
-  let eng = Registry.compile_automaton_exn "ac" z in
-  let got = Engine_sig.run eng "xfoobarbaz" in
-  check (Alcotest.list event) "events"
-    [
-      { Engine_sig.fsa = 0; end_pos = 4 };
-      { Engine_sig.fsa = 1; end_pos = 7 };
-      { Engine_sig.fsa = 1; end_pos = 10 };
-    ]
-    got;
-  (* Agreement with the general engines on its restricted domain. *)
-  engines_equal ~msg:"vs ac ruleset" z "xfoobarbazfoofoo";
-  check Alcotest.(list int) "count_per_fsa" [ 1; 2 ]
-    (Array.to_list (Engine_sig.count_per_fsa eng "xfoobarbaz"))
-
-let test_ac_rejects_nonliteral () =
-  match Registry.compile_automaton "ac" (mfsa_of [ "foo"; "a+b" ]) with
-  | Ok _ -> Alcotest.fail "ac accepted an infinite rule"
-  | Error _ -> ()
-  | exception Invalid_argument _ -> ()
-
-let test_ac_anchors_and_sessions () =
-  let z = mfsa_of [ "^ab"; "cd$"; "ab" ] in
-  let eng = Registry.compile_automaton_exn "ac" z in
-  check (Alcotest.list event) "anchors honoured"
-    [
-      { Engine_sig.fsa = 0; end_pos = 2 };
-      { Engine_sig.fsa = 2; end_pos = 2 };
-      { Engine_sig.fsa = 2; end_pos = 6 };
-      { Engine_sig.fsa = 1; end_pos = 8 };
-    ]
-    (Engine_sig.run eng "abxxabcd");
-  (* Streaming: literal straddles the boundary; end anchor resolves
-     only at finish. *)
-  let s = Engine_sig.session eng in
-  let e1 = Engine_sig.feed s "abxxa" in
-  let e2 = Engine_sig.feed s "bcd" in
-  let got = e1 @ e2 @ Engine_sig.finish s in
-  check (Alcotest.list event) "chunked = batch"
-    (Engine_sig.run eng "abxxabcd")
-    got
-
-let test_ac_in_registry () =
-  check Alcotest.bool "listed" true (List.mem "ac" (Registry.names ()));
-  check Alcotest.bool "not general" true
-    (not (List.mem "ac" (Registry.general_names ())));
-  check Alcotest.bool "documented" true (Registry.doc "ac" <> None)
-
 let () =
   Alcotest.run "hotloop"
     [
@@ -331,7 +268,6 @@ let () =
       ( "prefilter",
         [
           Alcotest.test_case "prefix sets" `Quick test_prefix_sets;
-          Alcotest.test_case "exact strings" `Quick test_exact_strings;
           Alcotest.test_case "analyze" `Quick test_prefilter_analyze;
           Alcotest.test_case "skip counters" `Quick test_skip_counter_moves;
         ] );
@@ -347,14 +283,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_sessions_chunked;
           Alcotest.test_case "straddling literal" `Quick
             test_session_straddles_literal;
-        ] );
-      ( "ac",
-        [
-          Alcotest.test_case "literal ruleset" `Quick test_ac_literal_ruleset;
-          Alcotest.test_case "rejects non-literal" `Quick
-            test_ac_rejects_nonliteral;
-          Alcotest.test_case "anchors + sessions" `Quick
-            test_ac_anchors_and_sessions;
-          Alcotest.test_case "registry placement" `Quick test_ac_in_registry;
         ] );
     ]

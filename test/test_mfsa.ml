@@ -373,31 +373,6 @@ let test_equivalence_regressions () =
   assert_equivalent [ "a{2,3}"; "aa" ] [ "aaaa"; "a" ];
   assert_equivalent [ "x(y|z)*"; "xy"; "xz" ] [ "xyzzy"; "xx" ]
 
-let test_merge_prefix_strategy () =
-  (* Prefix seeding shares strictly less than greedy, but matching is
-     identical; activation sets are rule-intrinsic. *)
-  let fsas () = [| fsa_of "xabc"; fsa_of "yabc"; fsa_of "xabd" |] in
-  let greedy = Merge.merge ~strategy:Merge.Greedy (fsas ()) in
-  let prefix = Merge.merge ~strategy:Merge.Prefix (fsas ()) in
-  check Alcotest.bool "greedy compresses at least as much" true
-    (greedy.Mfsa.n_states <= prefix.Mfsa.n_states);
-  (* x-rules share the xab prefix under both; the y-rule's interior
-     abc is only merged by greedy. *)
-  check Alcotest.bool "prefix smaller than plain sum" true
-    (prefix.Mfsa.n_states < 15);
-  List.iter
-    (fun input ->
-      let run z =
-        Im.run (Im.compile z) input
-        |> List.map (fun e -> (e.Im.fsa, e.Im.end_pos))
-        |> List.sort compare
-      in
-      check
-        Alcotest.(list (pair int int))
-        (Printf.sprintf "same matches on %S" input)
-        (run greedy) (run prefix))
-    [ "xabc"; "yabc"; "xabd"; "zabc"; "xab"; "xabcyabcxabd" ]
-
 let test_merge_many_same_prefix () =
   (* A family of rules sharing one long prefix compresses to roughly
      prefix + per-rule tails. *)
@@ -435,7 +410,6 @@ let () =
           Alcotest.test_case "retirement projections" `Quick
             test_retire_projections;
           Alcotest.test_case "many shared prefixes" `Quick test_merge_many_same_prefix;
-          Alcotest.test_case "prefix strategy" `Quick test_merge_prefix_strategy;
         ] );
       ( "paper-examples",
         [

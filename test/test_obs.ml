@@ -307,9 +307,7 @@ let prop_reset_stats_reproducible =
           else
             QCheck2.Test.fail_reportf "%s diverges:@.%a@.vs@.%a" name S.pp
               fresh S.pp rerun)
-        (* [general_names]: restricted engines (ac) reject arbitrary
-           generated rulesets at compile time. *)
-        (Registry.general_names ()))
+        (Registry.names ()))
 
 let () =
   Alcotest.run "obs"

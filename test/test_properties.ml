@@ -206,19 +206,6 @@ let prop_stats_bounds =
 
 (* The headline theorem again over the full byte alphabet: binary
    bytes, wide classes and the 256-symbol tables. *)
-(* The headline theorem under the conservative merge strategy. *)
-let prop_mfsa_equivalence_prefix_strategy =
-  QCheck2.Test.make ~count:100
-    ~name:"HEADLINE under prefix-aligned merging"
-    ~print:Gen_re.print_ruleset_input ruleset_and_input
-    (fun (rules, input) ->
-      let fsas = Array.of_list (List.map fsa_of_rule rules) in
-      let z = Merge.merge ~strategy:Merge.Prefix fsas in
-      let events = Im.run (Im.compile z) input in
-      Array.for_all
-        (fun j -> per_fsa_ends events j = In.run (In.compile fsas.(j)) input)
-        (Array.init (Array.length fsas) Fun.id))
-
 let ( >>= ) = Gen.( >>= )
 
 let prop_mfsa_equivalence_full_alphabet =
@@ -364,7 +351,6 @@ let () =
           qtest prop_pipeline_end_to_end;
           qtest prop_imfant_equals_formal_model;
           qtest prop_mfsa_equivalence_full_alphabet;
-          qtest prop_mfsa_equivalence_prefix_strategy;
           qtest prop_merge_deterministic;
           qtest prop_stats_bounds;
           qtest prop_multiword_kernel_equals_formal_model;

@@ -1,6 +1,6 @@
 (* Tests for the first-class engine API: registry surface, cross-engine
    agreement through Engine_sig, stats, and the streaming contract —
-   including the buffered re-scan sessions of the per-rule engines. *)
+   including the buffered re-scan sessions of the per-rule dfa engine. *)
 
 module P = Mfsa_frontend.Parser
 module Mfsa = Mfsa_model.Mfsa
@@ -29,7 +29,7 @@ let events l =
   List.sort compare
     (List.map (fun e -> (e.Engine_sig.fsa, e.Engine_sig.end_pos)) l)
 
-let builtins = [ "imfant"; "hybrid"; "infant"; "dfa"; "decomposed"; "auto" ]
+let builtins = [ "imfant"; "hybrid"; "dfa"; "auto" ]
 
 let contains haystack needle =
   let len = String.length needle in
@@ -59,6 +59,27 @@ let test_names () =
       | Some d -> check Alcotest.bool "doc non-empty" true (d <> "")
       | None -> Alcotest.failf "doc %S = None" n)
     names
+
+(* The table holds exactly what a plan can pick; the per-rule
+   baselines (infant, decomposed) and Aho–Corasick are plain modules,
+   so their old names are unknown engines. Runs before any test-only
+   registration. *)
+let test_exact_builtins () =
+  check
+    Alcotest.(list string)
+    "names = sorted builtins"
+    (List.sort String.compare builtins)
+    (Registry.names ());
+  let z = merge_rules [ "a" ] in
+  List.iter
+    (fun name ->
+      match Registry.compile_automaton name z with
+      | Error msg ->
+          check Alcotest.string
+            (name ^ " is an unknown engine")
+            (Registry.unknown_message name) msg
+      | Ok _ -> Alcotest.failf "%S still compiles" name)
+    [ "infant"; "decomposed"; "ac" ]
 
 let test_unknown () =
   check Alcotest.bool "find" true (Option.is_none (Registry.find "warp"));
@@ -320,8 +341,8 @@ let test_stats_nonempty () =
 (* ------------------------------------------------------- Streaming *)
 
 (* Feeding chunk splits of [input] then finishing must reproduce the
-   whole-string run — for the native sessions (imfant, hybrid) and the
-   buffered re-scan sessions (infant, dfa, decomposed) alike. The
+   whole-string run — for the native sessions (imfant, hybrid, auto)
+   and dfa's buffered re-scan session alike. The
    ruleset includes an end-anchored FSA, whose events must only appear
    at finish. *)
 let splits input =
@@ -465,6 +486,8 @@ let () =
       ( "surface",
         [
           Alcotest.test_case "built-ins registered" `Quick test_names;
+          Alcotest.test_case "exactly the built-ins" `Quick
+            test_exact_builtins;
           Alcotest.test_case "unknown names" `Quick test_unknown;
           Alcotest.test_case "help lists every engine" `Quick
             test_help_lists_all;
