@@ -111,10 +111,13 @@ let load_term () =
     & opt (some file) None
     & info [ "load" ] ~docv:"FILE"
         ~doc:
-          "Load a compiled binary artifact (written by $(b,mfsa-compile \
-           --emit)) instead of compiling rules: startup is O(artifact size), \
-           no pipeline run. Only engines with a table loader accept it \
-           ($(b,imfant), $(b,hybrid)).")
+          (Printf.sprintf
+             "Load a compiled binary artifact (written by $(b,mfsa-compile \
+              --emit)) instead of compiling rules: startup is O(artifact \
+              size), no pipeline run. Only engines with a table loader \
+              accept it (%s)."
+             (String.concat ", "
+                (List.map (Printf.sprintf "$(b,%s)") (Registry.table_capable_names ())))))
 
 (* [source_of_ruleset ~rules path] classifies a positional ruleset
    argument. The artifact magic wins over both flags — a .mfsa file is

@@ -357,13 +357,17 @@ let fig10 cfg =
   Buffer.add_string buf
     (header
        "Fig. 10: multi-thread scaling (greedy-scheduler projection from measured per-automaton times)");
+  let cores = Domain.recommended_domain_count () in
   Buffer.add_string buf
     (Printf.sprintf
-       "Note: this host exposes a single core; per-automaton times are measured\n\
-        for real and the T-thread makespan is projected by replaying the pool's\n\
+       "Note: this host exposes %s; per-automaton times are measured\n\
+        for real and the T-thread makespan is %sprojected by replaying the pool's\n\
         greedy in-order scheduler (DESIGN.md substitution 3). As on the\n\
         paper's i7-6700, scaling saturates at the modelled hardware limit of\n\
-        %d threads.\n\n" cfg.hw_threads);
+        %d threads.\n\n"
+       (if cores = 1 then "a single core" else Printf.sprintf "%d cores" cores)
+       (if cores = 1 then "" else "still ")
+       cfg.hw_threads);
   let speedups = ref [] in
   List.iter
     (fun ctx ->

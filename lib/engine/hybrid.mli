@@ -1,11 +1,11 @@
 (** Lazy-DFA execution over an MFSA: RE2-style subset construction,
     done configuration by configuration, on demand.
 
-    {!Imfant} is transition-centric: every input byte scans all
-    transitions the byte enables and performs bitset algebra per
-    transition (Equations 4–6), even when the active configuration is
-    tiny and repeats across millions of positions. This engine
-    memoizes that work. A {e configuration} is the entire runtime
+    {!Imfant} recomputes every byte: it copies the byte class's
+    precomputed injection and walks each live state's enabled
+    transitions with bitset algebra per transition (Equations 4–6),
+    even when the active configuration repeats across millions of
+    positions. This engine memoizes that work. A {e configuration} is the entire runtime
     state of iMFAnt at one input position — the map from active
     states to their activation sets [J(q)] — interned in iMFAnt's flat
     form (states ascending, each followed by its activation words, one

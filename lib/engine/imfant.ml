@@ -2,12 +2,17 @@ module Mfsa = Mfsa_model.Mfsa
 module Charclass = Mfsa_charset.Charclass
 module Bitset = Mfsa_util.Bitset
 module Vec = Mfsa_util.Vec
+module Cc_tbl = Hashtbl.Make (Charclass)
 
-(* Per-state initial FSA sets in the kernel's flat layout: state q's
-   set is [iw.(q*nw) .. iw.(q*nw+nw-1)], and [has.(q)] says it is
-   non-empty. [iw] is never read where [has] is false, so the
-   injection-off table carries no words. *)
-type inits = { iw : int array; has : bool array }
+(* One initial-set table in the kernel's injection form. Injection
+   ignores the input: on a byte of class c it makes every destination
+   of an enabled transition q1 -> q2 live with init(q1) ∩ bel(t), so
+   per class that is a constant. Class c's destinations are
+   [dst.(off.(c)) .. dst.(off.(c+1) - 1)], ascending; destination [i]'s
+   words are [words.(i*nw) .. words.(i*nw+nw-1)], the ORed sets; and
+   [fin.(c*nw) ..] is the union of their intersections with final(q2),
+   the FSAs that injection alone matches on the byte. *)
+type inits = { off : int array; dst : int array; words : int array; fin : int array }
 
 type t = {
   z : Mfsa.t;
@@ -20,6 +25,11 @@ type t = {
   prefilter : Prefilter.t option;
       (* Literal prefilter, when every unanchored rule has a usable
          mandatory prefix set. *)
+  src_off : int array;
+  src_tr : int array;
+      (* [trans_by_cls] regrouped by source state (CSR): the
+         transitions out of q enabled by class c are
+         [src_tr.(src_off.(c*(n+1)+q)) .. src_tr.(src_off.(c*(n+1)+q+1) - 1)]. *)
   (* Word-major activation tables: every FSA set is [nw] consecutive
      words of one flat int array, so the step kernel indexes words
      directly instead of chasing one record per set. *)
@@ -65,48 +75,143 @@ let mask_of flags =
   Array.iteri (fun j on -> if on then Bitset.add m j) flags;
   Bitset.words m
 
-(* The flat initial-set table [all ∩ keep], in O(states × nw). *)
-let inits_of nw all keep =
-  let n = Array.length all / nw in
-  let iw = Array.make (n * nw) 0 and has = Array.make n false in
-  for q = 0 to n - 1 do
-    for w = 0 to nw - 1 do
-      let x = all.((q * nw) + w) land keep.(w) in
-      iw.((q * nw) + w) <- x;
-      if x <> 0 then has.(q) <- true
-    done
+(* The per-class injection of the initial sets [all] as [(off, dst,
+   words)], laid out as in {!inits} but with no match words, in
+   O(Σ enabled × nw): one states × nw accumulator collects a class's
+   injected words per destination; they are emitted in ascending
+   destination order and the accumulator cleared. *)
+let injection (z : Mfsa.t) nw ~trans_by_cls ~bel_w ~bel_lo ~bel_hi all =
+  let n = z.Mfsa.n_states and k = Array.length trans_by_cls in
+  let row = z.Mfsa.row and col = z.Mfsa.col in
+  let acc = Array.make (n * nw) 0 and seen = Array.make n (-1) in
+  let dsts = Array.make n 0 in
+  let off = Array.make (k + 1) 0 and dst = Vec.create () and words = Vec.create () in
+  for c = 0 to k - 1 do
+    let m = ref 0 in
+    Array.iter
+      (fun tr ->
+        let q2 = col.(tr) in
+        let s = row.(tr) * nw and d = q2 * nw in
+        for w = bel_lo.(tr) to bel_hi.(tr) do
+          let j = all.(s + w) land bel_w.((tr * nw) + w) in
+          if j <> 0 then begin
+            if seen.(q2) <> c then begin
+              seen.(q2) <- c;
+              dsts.(!m) <- q2;
+              incr m
+            end;
+            acc.(d + w) <- acc.(d + w) lor j
+          end
+        done)
+      trans_by_cls.(c);
+    let reached = Array.sub dsts 0 !m in
+    Array.sort Int.compare reached;
+    Array.iter
+      (fun q2 ->
+        Vec.push dst q2;
+        for w = 0 to nw - 1 do
+          Vec.push words acc.((q2 * nw) + w);
+          acc.((q2 * nw) + w) <- 0
+        done)
+      reached;
+    off.(c + 1) <- Vec.length dst
   done;
-  { iw; has }
+  (off, Vec.to_array dst, Vec.to_array words)
 
-(* Everything the step kernel reads, in O((transitions + states) × nw)
-   word copies and masks — cheap enough for both the compile and the
-   table-adoption paths, so artifacts need not store it. *)
+(* The injection [(off0, dst0, words0)] restricted to the FSAs in
+   [keep]: destinations left empty are dropped, and the match words
+   are filled in. *)
+let masked nw ~final_w (off0, dst0, words0) keep =
+  let k = Array.length off0 - 1 in
+  let off = Array.make (k + 1) 0 and fin = Array.make (k * nw) 0 in
+  let dst = Array.make (Array.length dst0) 0 in
+  let words = Array.make (Array.length words0) 0 in
+  let m = ref 0 in
+  for c = 0 to k - 1 do
+    for i = off0.(c) to off0.(c + 1) - 1 do
+      let q2 = dst0.(i) and any = ref 0 in
+      for w = 0 to nw - 1 do
+        let j = words0.((i * nw) + w) land keep.(w) in
+        any := !any lor j;
+        words.((!m * nw) + w) <- j;
+        fin.((c * nw) + w) <- fin.((c * nw) + w) lor (j land final_w.((q2 * nw) + w))
+      done;
+      if !any <> 0 then begin
+        dst.(!m) <- q2;
+        incr m
+      end
+    done;
+    off.(c + 1) <- !m
+  done;
+  { off; dst = Array.sub dst 0 !m; words = Array.sub words 0 (!m * nw); fin }
+
+(* [trans_by_cls] regrouped by source state: one counting sort per
+   class, with one fill cursor per state. *)
+let by_source (z : Mfsa.t) trans_by_cls =
+  let n = z.Mfsa.n_states and row = z.Mfsa.row in
+  let total = Array.fold_left (fun a e -> a + Array.length e) 0 trans_by_cls in
+  let src_off = Array.make (Array.length trans_by_cls * (n + 1)) 0 in
+  let src_tr = Array.make total 0 and fill = Array.make n 0 in
+  let base = ref 0 in
+  Array.iteri
+    (fun c enabled ->
+      let o = c * (n + 1) in
+      Array.iter (fun tr -> let q = o + row.(tr) + 1 in src_off.(q) <- src_off.(q) + 1) enabled;
+      src_off.(o) <- !base;
+      for q = o + 1 to o + n do
+        src_off.(q) <- src_off.(q) + src_off.(q - 1)
+      done;
+      Array.blit src_off o fill 0 n;
+      Array.iter
+        (fun tr ->
+          let q = row.(tr) in
+          src_tr.(fill.(q)) <- tr;
+          fill.(q) <- fill.(q) + 1)
+        enabled;
+      base := !base + Array.length enabled)
+    trans_by_cls;
+  (src_off, src_tr)
+
+(* Everything the step kernel reads, in O((transitions + states) × nw
+   + Σ enabled × nw + classes × states) word copies and masks — cheap
+   enough for both the compile and the table-adoption paths, so
+   artifacts need not store it. *)
 let assemble (z : Mfsa.t) ~k ~class_of ~trans_by_cls ~prefilter =
   let nw = Array.length (Bitset.words (Bitset.create z.Mfsa.n_fsas)) in
   let all = flatten nw z.Mfsa.init_sets in
   let anch = mask_of z.Mfsa.anchored_start in
   let nt = Mfsa.n_transitions z and bel_w = flatten nw z.Mfsa.bel in
+  let final_w = flatten nw z.Mfsa.final_sets in
   (* The first non-zero word of bel(tr) walking from [w] by [dir]; an
      empty bel gives lo = nw > hi = -1. *)
   let rec span tr w dir =
     if w < 0 || w >= nw || bel_w.((tr * nw) + w) <> 0 then w
     else span tr (w + dir) dir
   in
+  let bel_lo = Array.init nt (fun tr -> span tr 0 1)
+  and bel_hi = Array.init nt (fun tr -> span tr (nw - 1) (-1)) in
+  let inject =
+    masked nw ~final_w (injection z nw ~trans_by_cls ~bel_w ~bel_lo ~bel_hi all)
+  in
+  let src_off, src_tr = by_source z trans_by_cls in
   {
     z;
     k;
     class_of;
     trans_by_cls;
     prefilter;
+    src_off;
+    src_tr;
     nw;
     bel_w;
-    bel_lo = Array.init nt (fun tr -> span tr 0 1);
-    bel_hi = Array.init nt (fun tr -> span tr (nw - 1) (-1));
-    final_w = flatten nw z.Mfsa.final_sets;
-    i_all = inits_of nw all (Array.make nw (-1));
-    i_unanch = inits_of nw all (Array.map lnot anch);
-    i_anch = inits_of nw all anch;
-    i_none = { iw = [||]; has = Array.make z.Mfsa.n_states false };
+    bel_lo;
+    bel_hi;
+    final_w;
+    i_all = inject (Array.make nw (-1));
+    i_unanch = inject (Array.map lnot anch);
+    i_anch = inject anch;
+    i_none =
+      { off = Array.make (k + 1) 0; dst = [||]; words = [||]; fin = Array.make (k * nw) 0 };
     skipped_bytes = 0;
   }
 
@@ -114,20 +219,32 @@ let compile (z : Mfsa.t) =
   let cls = Mfsa.classes z in
   let k = cls.Mfsa.n_classes in
   let class_of = cls.Mfsa.class_of_byte in
-  (* A transition's enabling class is a union of byte classes, so one
-     stamp per (transition, class) pair dedupes the per-byte walk. *)
+  (* A transition's enabling class is a union of byte classes. Many
+     transitions share one character class, so each distinct class's
+     list is computed once, deduped by one stamp per byte class. *)
   let by_cls = Array.init k (fun _ -> Vec.create ()) in
-  let stamp = Array.make k (-1) in
+  let memo = Cc_tbl.create 64 and stamp = Array.make k (-1) in
+  let classes cc =
+    match Cc_tbl.find_opt memo cc with
+    | Some l -> l
+    | None ->
+        let id = Cc_tbl.length memo in
+        let l =
+          Charclass.fold
+            (fun c l ->
+              let cl = Char.code (Bytes.get class_of (Char.code c)) in
+              if stamp.(cl) = id then l
+              else begin
+                stamp.(cl) <- id;
+                cl :: l
+              end)
+            cc []
+        in
+        Cc_tbl.add memo cc l;
+        l
+  in
   Array.iteri
-    (fun t cc ->
-      Charclass.iter
-        (fun c ->
-          let cl = Char.code (Bytes.get class_of (Char.code c)) in
-          if stamp.(cl) <> t then begin
-            stamp.(cl) <- t;
-            Vec.push by_cls.(cl) t
-          end)
-        cc)
+    (fun t cc -> List.iter (fun cl -> Vec.push by_cls.(cl) t) (classes cc))
     z.Mfsa.idx;
   assemble z ~k ~class_of
     ~trans_by_cls:(Array.map Vec.to_array by_cls)
@@ -165,14 +282,20 @@ let reset_skipped t = t.skipped_bytes <- 0
 (* A scan's configuration: J(q) is [cur.(q*nw) .. cur.(q*nw+nw-1)],
    valid iff [cur_stamp.(q) = gen] (epoch stamps: advancing [gen]
    deactivates every state in O(1) instead of clearing the vector).
-   [nxt] collects the configuration after the current byte, and
-   [macc] the FSAs that matched on it. A state is stamped only with a
-   non-empty set, so "stamped" means "live". *)
+   The stamped states are listed, in no particular order, in
+   [cur_live.(0 .. cur_n - 1)]. [nxt], [nxt_stamp] and [nxt_live]
+   collect the configuration after the current byte, and [macc] the
+   FSAs that matched on it. A state is stamped only with a non-empty
+   set, so "stamped" means "live". *)
 type scan = {
   mutable cur : int array;
   mutable nxt : int array;
   mutable cur_stamp : int array;
   mutable nxt_stamp : int array;
+  mutable cur_live : int array;
+  mutable nxt_live : int array;
+  mutable cur_n : int;
+  mutable nxt_n : int;
   mutable gen : int;
   macc : int array;
 }
@@ -184,60 +307,86 @@ let scan_create t =
     nxt = Array.make (n * t.nw) 0;
     cur_stamp = Array.make n (-1);
     nxt_stamp = Array.make n (-1);
+    cur_live = Array.make n 0;
+    nxt_live = Array.make n 0;
+    cur_n = 0;
+    nxt_n = 0;
     gen = 0;
     macc = Array.make t.nw 0;
   }
 
-(* One input byte of class [cls] — the only loop over [trans_by_cls].
-   Every enabled transition q1 -> q2 whose source is active or
-   injecting computes, word by word,
+(* One input byte of class [cls]. The new configuration is
+   J(q2) = ⋃ J' over the enabled transitions t = q1 -> q2, with
 
      J' = (J(q1) ∪ init(q1)) ∩ bel(t)      Equations 4 and 6
 
-   ORs it into J(q2) for the next byte and J' ∩ final(q2) into the
-   match words (Equation 5). Allocates nothing. Returns whether any
-   next state is live; the caller drains [macc] and swaps. *)
+   and since ∩ distributes over ∪ the two halves are computed apart:
+
+   - injection, init(q1) ∩ bel(t), depends only on the class, so the
+     table [ini] holds it precomputed per destination: it is copied
+     into the next vector, and the FSAs it matches into [macc];
+   - then every live state q1 walks only its own transitions enabled
+     by the class (the [src_off]/[src_tr] rows), ORs J(q1) ∩ bel(t)
+     into J(q2) and J' ∩ final(q2) into the match words (Equation 5).
+
+   Work is proportional to the live states' enabled transitions plus
+   the injected destinations, not to every enabled transition.
+   Allocates nothing. Returns whether any next state is live; the
+   caller drains [macc] and swaps. *)
 let step t sc cls ini =
-  let nw = t.nw and row = t.z.Mfsa.row and col = t.z.Mfsa.col in
+  let nw = t.nw and col = t.z.Mfsa.col in
   let bel = t.bel_w and lo = t.bel_lo and hi = t.bel_hi and fin = t.final_w in
-  let iw = ini.iw and has = ini.has in
   let cur = sc.cur and nxt = sc.nxt and macc = sc.macc in
-  let cur_stamp = sc.cur_stamp and nxt_stamp = sc.nxt_stamp in
-  let gen = sc.gen in
-  let enabled = t.trans_by_cls.(cls) in
-  let live = ref false in
-  for e = 0 to Array.length enabled - 1 do
-    let tr = Array.unsafe_get enabled e in
-    let q1 = Array.unsafe_get row tr in
-    let active = Array.unsafe_get cur_stamp q1 = gen
-    and inject = Array.unsafe_get has q1 in
-    if active || inject then begin
+  let nxt_stamp = sc.nxt_stamp and nxt_live = sc.nxt_live in
+  let g1 = sc.gen + 1 in
+  let n = ref 0 in
+  let dst = ini.dst and words = ini.words in
+  for i = Array.unsafe_get ini.off cls to Array.unsafe_get ini.off (cls + 1) - 1 do
+    let q2 = Array.unsafe_get dst i in
+    let s = i * nw and d = q2 * nw in
+    for w = 0 to nw - 1 do
+      Array.unsafe_set nxt (d + w) (Array.unsafe_get words (s + w))
+    done;
+    Array.unsafe_set nxt_stamp q2 g1;
+    Array.unsafe_set nxt_live !n q2;
+    incr n
+  done;
+  let f = cls * nw in
+  for w = 0 to nw - 1 do
+    Array.unsafe_set macc w (Array.unsafe_get macc w lor Array.unsafe_get ini.fin (f + w))
+  done;
+  let src_off = t.src_off and src_tr = t.src_tr in
+  let row0 = cls * (t.z.Mfsa.n_states + 1) in
+  for l = 0 to sc.cur_n - 1 do
+    let q1 = Array.unsafe_get sc.cur_live l in
+    let s = q1 * nw in
+    for e = Array.unsafe_get src_off (row0 + q1) to Array.unsafe_get src_off (row0 + q1 + 1) - 1 do
+      let tr = Array.unsafe_get src_tr e in
       let q2 = Array.unsafe_get col tr in
-      let s = q1 * nw and b = tr * nw and d = q2 * nw in
+      let b = tr * nw and d = q2 * nw in
+      let fresh = Array.unsafe_get nxt_stamp q2 <> g1 in
       (* An unstamped J(q2) holds stale words. *)
-      if Array.unsafe_get nxt_stamp q2 <> gen + 1 then
+      if fresh then
         for w = d to d + nw - 1 do
           Array.unsafe_set nxt w 0
         done;
       let any = ref 0 in
       for w = Array.unsafe_get lo tr to Array.unsafe_get hi tr do
-        let j =
-          ((if active then Array.unsafe_get cur (s + w) else 0)
-          lor if inject then Array.unsafe_get iw (s + w) else 0)
-          land Array.unsafe_get bel (b + w)
-        in
+        let j = Array.unsafe_get cur (s + w) land Array.unsafe_get bel (b + w) in
         any := !any lor j;
         Array.unsafe_set nxt (d + w) (Array.unsafe_get nxt (d + w) lor j);
         Array.unsafe_set macc w
           (Array.unsafe_get macc w lor (j land Array.unsafe_get fin (d + w)))
       done;
-      if !any <> 0 then begin
-        Array.unsafe_set nxt_stamp q2 (gen + 1);
-        live := true
+      if fresh && !any <> 0 then begin
+        Array.unsafe_set nxt_stamp q2 g1;
+        Array.unsafe_set nxt_live !n q2;
+        incr n
       end
-    end
+    done
   done;
-  !live
+  sc.nxt_n <- !n;
+  !n > 0
 
 (* Report the FSAs matched on this byte, ascending, and clear them. *)
 let drain sc pos on_match =
@@ -254,11 +403,15 @@ let drain sc pos on_match =
 
 (* The configuration after the byte becomes the current one. *)
 let swap sc =
-  let c = sc.cur and cs = sc.cur_stamp in
+  let c = sc.cur and cs = sc.cur_stamp and cl = sc.cur_live in
   sc.cur <- sc.nxt;
   sc.cur_stamp <- sc.nxt_stamp;
+  sc.cur_live <- sc.nxt_live;
+  sc.cur_n <- sc.nxt_n;
   sc.nxt <- c;
   sc.nxt_stamp <- cs;
+  sc.nxt_live <- cl;
+  sc.nxt_n <- 0;
   sc.gen <- sc.gen + 1
 
 let class_at t input i =
@@ -275,31 +428,38 @@ let class_at t input i =
 let load t sc cfg =
   let nw = t.nw in
   sc.gen <- sc.gen + 2;
-  let p = ref 0 in
+  let p = ref 0 and n = ref 0 in
   while !p < Array.length cfg do
     let q = cfg.(!p) in
     sc.cur_stamp.(q) <- sc.gen;
-    for w = 0 to nw - 1 do
-      sc.cur.((q * nw) + w) <- cfg.(!p + 1 + w)
-    done;
+    sc.cur_live.(!n) <- q;
+    incr n;
+    Array.blit cfg (!p + 1) sc.cur (q * nw) nw;
     p := !p + 1 + nw
-  done
-
-(* Write the states stamped [g] in [stamp], with their sets from
-   [words], to [out] in flat form; returns the length written. *)
-let compact t words (stamp : int array) g out =
-  let nw = t.nw in
-  let n = ref 0 in
-  for q = 0 to t.z.Mfsa.n_states - 1 do
-    if Array.unsafe_get stamp q = g then begin
-      out.(!n) <- q;
-      for w = 0 to nw - 1 do
-        out.(!n + 1 + w) <- words.((q * nw) + w)
-      done;
-      n := !n + 1 + nw
-    end
   done;
-  !n
+  sc.cur_n <- !n
+
+(* Write the [n] states of [live], with their sets from [words], to
+   [out] in flat form, ascending; returns the length written. The list
+   is short, so it is insertion-sorted in place (the kernel does not
+   depend on its order). *)
+let compact t words live n out =
+  let nw = t.nw in
+  for i = 1 to n - 1 do
+    let q = live.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && live.(!j) > q do
+      live.(!j + 1) <- live.(!j);
+      decr j
+    done;
+    live.(!j + 1) <- q
+  done;
+  for i = 0 to n - 1 do
+    let q = live.(i) and o = i * (1 + nw) in
+    out.(o) <- q;
+    Array.blit words (q * nw) out (o + 1) nw
+  done;
+  n * (1 + nw)
 
 let flat_buffer t = Array.make (t.z.Mfsa.n_states * (1 + t.nw)) 0
 
@@ -327,7 +487,7 @@ let config_step t sp cfg cls ~at_start =
   let sc = sp.sc in
   load t sc cfg;
   ignore (step t sc cls (if at_start then t.i_all else t.i_unanch));
-  sp.next_len <- compact t sc.nxt sc.nxt_stamp (sc.gen + 1) sp.next;
+  sp.next_len <- compact t sc.nxt sc.nxt_live sc.nxt_n sp.next;
   let macc = sc.macc and m = ref 0 in
   for w = 0 to t.nw - 1 do
     let x = macc.(w) in
@@ -436,11 +596,11 @@ let run_with_stats t input =
     drain sc (i + 1) on_match;
     swap sc;
     Array.fill u 0 t.nw 0;
-    for q = 0 to t.z.Mfsa.n_states - 1 do
-      if sc.cur_stamp.(q) = sc.gen then
-        for w = 0 to t.nw - 1 do
-          u.(w) <- u.(w) lor sc.cur.((q * t.nw) + w)
-        done
+    for l = 0 to sc.cur_n - 1 do
+      let q = sc.cur_live.(l) in
+      for w = 0 to t.nw - 1 do
+        u.(w) <- u.(w) lor sc.cur.((q * t.nw) + w)
+      done
     done;
     let a = Bitset.cardinal active in
     sum := !sum + a;
@@ -468,7 +628,7 @@ type carry = int array
 
 let config_of_scan t sc =
   let out = flat_buffer t in
-  Array.sub out 0 (compact t sc.cur sc.cur_stamp sc.gen out)
+  Array.sub out 0 (compact t sc.cur sc.cur_live sc.cur_n out)
 
 (* Prefilter skips are returned, not accumulated into [t]: chunk passes
    run concurrently over one shared engine. *)
@@ -549,6 +709,8 @@ let reset s =
   Array.fill s.sc.cur_stamp 0 (Array.length s.sc.cur_stamp) (-1);
   Array.fill s.sc.nxt_stamp 0 (Array.length s.sc.nxt_stamp) (-1);
   s.sc.gen <- 0;
+  s.sc.cur_n <- 0;
+  s.sc.nxt_n <- 0;
   s.pos <- 0;
   s.pending_end <- []
 

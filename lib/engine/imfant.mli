@@ -28,11 +28,17 @@ type t
     a literal prefilter ({!Prefilter}) is attached whenever
     {!Prefilter.analyze} builds one.
 
-    Every activation set the step reads — [bel], the final sets and
-    the three initial-set tables — is also laid out word-major in one
-    flat [int array] per table, and one allocation-free per-byte
-    kernel over those words runs every entry point below: the batch
-    runs, the chunked SFA passes and sessions. *)
+    Every activation set the step reads — [bel] and the final sets —
+    is also laid out word-major in one flat [int array] per table, and
+    one allocation-free per-byte kernel over those words runs every
+    entry point below: the batch runs, the chunked SFA passes and
+    sessions. The kernel walks only live states. Injection does not
+    depend on the input, so each initial-set table is precomputed per
+    byte class: the destinations it makes live, their activation words
+    and the FSAs it matches. Each live state then visits only its own
+    transitions that the byte's class enables (rows grouped by source
+    state). Per byte, the cost is the live states' enabled transitions
+    plus the injected destinations, not every enabled transition. *)
 
 type match_event = Engine_sig.match_event = { fsa : int; end_pos : int }
 
@@ -50,9 +56,11 @@ val compile : Mfsa_model.Mfsa.t -> t
 val of_tables : Tables.t -> t
 (** Adopt a pre-derived table bundle (an artifact load, or another
     engine's export) in O(size of the tables): nothing is re-derived
-    except the flat activation words the step kernel reads (word
-    copies, O((transitions + states) × ⌈fsas/62⌉)). The bundle's class
-    map and prefilter are used as stored. The bundle's arrays are shared, not copied: they must
+    except what the step kernel reads — the flat activation words, the
+    per-class injection tables and the per-class transition rows by
+    source state (O((transitions + states + Σ enabled) × ⌈fsas/62⌉ +
+    classes × states)). The bundle's class map and prefilter are used
+    as stored. The bundle's arrays are shared, not copied: they must
     not be mutated afterwards. *)
 
 val export_tables : t -> Tables.t

@@ -22,9 +22,10 @@ type features = {
      configurations are the same with or without one; coverage stays
      only as a predictor of a cacheable working set, where
      configurations repeat heavily and the adaptive capacity absorbs
-     them. Cold at scale 1.0, its 2 KiB-feed sessions run 1.5–5x over
-     iMFAnt's on BRO/DS9/PEN/RG1; TCP's working set churns
-     and holds it to 0.5x (EXPERIMENTS.md), the case [demote] is for.
+     them. Cold at scale 1.0, on the live-state kernel, its 2 KiB-feed
+     sessions run 1.2–2.7x over iMFAnt's on BRO/PEN/RG1 but 0.74x on
+     DS9; TCP's working set churns and holds it to 0.19x
+     (EXPERIMENTS.md, "Live-state kernel"), the case [demote] is for.
      Static automaton size does {e not} predict cacheability — PRO's
      86 merged states explode into a ~44k-configuration working set
      while TCP's 119 states stay under 24k and cache fully — so no

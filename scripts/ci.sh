@@ -13,6 +13,18 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== kernel agreement (pinned QCheck seeds) =="
+# The iMFAnt step kernel's property tests — every engine, session
+# chunking and chunked SFA pass against the activation oracle — again
+# under three fixed seeds (qcheck-alcotest reads QCHECK_SEED), so a
+# divergence one seed finds reproduces here.
+for seed in 1 2 3; do
+  for t in test_hotloop test_hybrid test_sfa; do
+    echo "-- $t, QCHECK_SEED=$seed"
+    QCHECK_SEED=$seed dune exec --display quiet "test/$t.exe" -- --compact
+  done
+done
+
 echo "== live-update bench (smoke) =="
 MFSA_SCALE="${MFSA_SCALE:-0.1}" MFSA_REPS="${MFSA_REPS:-2}" \
   dune exec bench/main.exe -- live-update

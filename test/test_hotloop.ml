@@ -258,6 +258,114 @@ let test_skip_counter_moves () =
   check Alcotest.int "demoted hybrid = imfant skips" im_skipped
     (Hy.stats hy).Hy.skipped_bytes
 
+(* ------------------------------------------------- Kernel edges *)
+
+let ev fsa end_pos = { Engine_sig.fsa; end_pos }
+
+(* "abc" and "bc" merge so that on the 'b' of "abc" one destination
+   is reached both by "bc"'s injected thread and by "abc"'s carried
+   one. The kernel copies injection into the next vector before the
+   live states OR into it; the other order would overwrite "abc"'s
+   thread and lose its match. *)
+let test_injection_meets_carried () =
+  let z = mfsa_of [ "abc"; "bc" ] in
+  let want = [ ev 0 3; ev 1 3 ] in
+  check (Alcotest.list event) "oracle" want (oracle z "abc");
+  let im = Im.compile z in
+  check (Alcotest.list event) "imfant run" want (sort_ev (Im.run im "abc"));
+  let s = Im.session im in
+  let fed = chunked_feed (Im.feed s) [ "a"; "bc" ] in
+  check (Alcotest.list event) "imfant session" want (sort_ev (fed @ Im.finish s));
+  check (Alcotest.list event) "hybrid run" want (sort_ev (Hy.run (Hy.compile z) "abc"))
+
+(* A start-anchored rule beside a literal-covered one: where position
+   0 is not a literal candidate the batch pass injects only the
+   anchored initial sets there, and nothing at later non-candidates. *)
+let test_anchored_at_non_candidate () =
+  let z = mfsa_of [ "^ab"; "hello" ] in
+  let im = Im.compile z in
+  let p = Option.get (Im.prefilter im) in
+  List.iter
+    (fun (input, want) ->
+      check Alcotest.bool
+        (Printf.sprintf "%S: position 0 is no candidate" input)
+        false
+        (Array.mem 0 (Prefilter.candidates p input));
+      check (Alcotest.list event) (input ^ " oracle") want (oracle z input);
+      check (Alcotest.list event) (input ^ " imfant") want (sort_ev (Im.run im input)))
+    [
+      ("abhello", [ ev 0 2; ev 1 7 ]);
+      ("xabhello", [ ev 1 8 ]);
+      ("xxab", []);
+      ("ababab", [ ev 0 2 ]);
+    ]
+
+(* The SFA join: threads injected before a chunk boundary are finished
+   by [carry_step] with injection off. Its matches are real ones, and
+   with the two chunk passes they make up the oracle's (a match that
+   both a carried and an injected thread complete is reported by
+   both, so the union is deduplicated as {!Sfa} does). *)
+let test_carry_step_across_boundary () =
+  let z = mfsa_of [ "abcd"; "bc"; "c+d" ] in
+  let im = Im.compile z in
+  let input = "xxabcdxxbccd" in
+  let len = String.length input and want = oracle z input in
+  List.iter
+    (fun cut ->
+      let evs = ref [] in
+      let on_match fsa end_pos = evs := ev fsa end_pos :: !evs in
+      let carry, _ = Im.run_chunk im input ~start:0 ~stop:cut ~on_match in
+      let carried = ref [] in
+      ignore
+        (Im.carry_step im carry input ~start:cut ~stop:len ~on_match:(fun f e ->
+             carried := ev f e :: !carried;
+             on_match f e));
+      ignore (Im.run_chunk im input ~start:cut ~stop:len ~on_match);
+      if cut = 4 || cut = 10 then
+        check Alcotest.bool (Printf.sprintf "cut %d completes carried threads" cut)
+          true (!carried <> []);
+      check Alcotest.bool (Printf.sprintf "cut %d: carried matches are real" cut)
+        true (List.for_all (fun e -> List.mem e want) !carried);
+      check (Alcotest.list event)
+        (Printf.sprintf "cut %d = oracle" cut)
+        want (sort_ev (List.sort_uniq compare !evs)))
+    [ 1; 3; 4; 5; 9; 10; 11 ]
+
+(* A flat configuration's states are ascending whatever order the
+   kernel reached them in ("ddab" and "aab" reach one configuration of
+   this ruleset with its states found in different orders). So the two
+   inputs give equal flat forms, and the hybrid interns the
+   configuration once: it holds exactly the distinct configurations of
+   both inputs' prefixes, compared with their states sorted here, plus
+   its two built-ins (start and dead). *)
+let test_configs_canonical () =
+  let z = mfsa_of [ "a[a-d]*b"; "ab"; "cb" ] in
+  let im = Im.compile z in
+  let nw = (z.Mfsa.n_fsas + Mfsa_util.Bitset.bits_per_word - 1) / Mfsa_util.Bitset.bits_per_word in
+  let sorted cfg =
+    let n = Array.length cfg / (1 + nw) in
+    Array.concat
+      (List.sort compare (List.init n (fun i -> Array.sub cfg (i * (1 + nw)) (1 + nw))))
+  in
+  let configs input =
+    let s = Im.session im in
+    List.init (String.length input) (fun i ->
+        ignore (Im.feed s (String.make 1 input.[i]));
+        Im.config_of_session s)
+  in
+  let u = "ddab" and v = "aab" in
+  let cu = configs u and cv = configs v in
+  let last l = List.nth l (List.length l - 1) in
+  check Alcotest.bool "a live configuration" true (Array.length (last cu) > 1 + nw);
+  check (Alcotest.array Alcotest.int) "one flat form" (last cu) (last cv);
+  let distinct =
+    List.sort_uniq compare (List.filter_map (fun c -> if c = [||] then None else Some (sorted c)) (cu @ cv))
+  in
+  let hy = Hy.compile z in
+  List.iter (fun input -> ignore (Hy.feed (Hy.session hy) input)) [ u; v ];
+  check Alcotest.int "interned once" (List.length distinct + 2)
+    (Hy.stats hy).Hy.resident_configs
+
 let () =
   Alcotest.run "hotloop"
     [
@@ -283,5 +391,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_sessions_chunked;
           Alcotest.test_case "straddling literal" `Quick
             test_session_straddles_literal;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "injection meets a carried thread" `Quick
+            test_injection_meets_carried;
+          Alcotest.test_case "anchored rule at a non-candidate" `Quick
+            test_anchored_at_non_candidate;
+          Alcotest.test_case "carry_step across a boundary" `Quick
+            test_carry_step_across_boundary;
+          Alcotest.test_case "flat configurations are canonical" `Quick
+            test_configs_canonical;
         ] );
     ]
