@@ -901,11 +901,11 @@ let engine_compare ?engines cfg =
 
 (* Two artefacts behind BENCH_planner.json and the CI planner gate:
 
-   - the planner comparison: the [auto] meta-engine against each of
-     the concrete engines it plans between (imfant, hybrid, dfa) on
-     every dataset at M = all — auto must agree with the iMFAnt
-     reference everywhere and land within 10% of the best concrete
-     engine's throughput;
+   - the planner comparison: the [auto] meta-engine against the
+     concrete engines it plans between (imfant, hybrid) and the
+     per-rule DFAs on every dataset at M = all — auto must agree with
+     the iMFAnt reference everywhere and land within 10% of the best
+     concrete engine's throughput;
 
    - the churn ablation: the hybrid engine at the default
      configuration cache under incremental clock eviction, against an

@@ -159,7 +159,10 @@ let build_fsa pattern =
   | Ok _ -> assert false
   | Error e -> Error e
 
-let compile ?(m = 0) patterns =
+(* The whole framework; [~emit:false] stops after merging, for the
+   rule compiler below, which needs only the automata. Its empty
+   [anml] never leaves this module. *)
+let run ~emit ?(m = 0) patterns =
   if Array.length patterns = 0 then
     Error { rule_index = 0; pattern = ""; message = "empty ruleset" }
   else
@@ -179,10 +182,10 @@ let compile ?(m = 0) patterns =
         let mfsas = Merge.merge_groups ~stats ~m fsas in
         let merging = now () -. t0 in
         let t1 = now () in
-        let anml = Anml.write mfsas in
+        let anml = if emit then Anml.write mfsas else "" in
         let backend = now () -. t1 in
         Mfsa_obs.Obs.observe (stage_span `Merge) merging;
-        Mfsa_obs.Obs.observe (stage_span `Emit) backend;
+        if emit then Mfsa_obs.Obs.observe (stage_span `Emit) backend;
         Mfsa_obs.Obs.inc compiles_total;
         Log.info (fun l ->
             l
@@ -207,13 +210,20 @@ let compile ?(m = 0) patterns =
             anml;
           }
 
-let compile_exn ?m patterns =
-  match compile ?m patterns with
+let compile ?m patterns = run ~emit:true ?m patterns
+
+let run_exn ~emit ?m patterns =
+  match run ~emit ?m patterns with
   | Ok c -> c
   | Error e -> raise (Compile_error e)
 
+let compile_exn ?m patterns = run_exn ~emit:true ?m patterns
+
 (* Install the rule-compilation half of {!Mfsa_engine.Source}'s hook
    pair: any executable linked against this library can hand
-   [Source.Rules]/[Rules_file] to [Registry.compile] and get the full
-   pipeline, [Compile_error] propagation included. *)
-let () = Mfsa_engine.Source.set_rule_compiler (fun patterns -> (compile_exn patterns).mfsas)
+   [Source.Rules]/[Rules_file] to [Registry.compile] and get the
+   pipeline up to merging, [Compile_error] propagation included. An
+   engine needs only the merged automata, so no ANML is written. *)
+let () =
+  Mfsa_engine.Source.set_rule_compiler (fun patterns ->
+      (run_exn ~emit:false patterns).mfsas)

@@ -14,7 +14,11 @@
     [multiplicity], [merge], [emit]) plus the [mfsa_compile_total],
     [mfsa_compile_rules_total] and [mfsa_compile_errors_total]
     counters — so live-update deployments see compile cost at run
-    time, not only under the bench harness. *)
+    time, not only under the bench harness. The [emit] stage is
+    observed only when a document is written ({!compile}): the rule
+    compiler this module installs in {!Mfsa_engine.Source} (what
+    [Registry.compile] runs on a rules source) needs only the merged
+    automata, so it stops after [merge]. *)
 
 type stage_times = {
   frontend : float;  (** Lexing + parsing, seconds (Fig. 8 "FE"). *)

@@ -32,34 +32,31 @@ type features = {
      state bound gates the choice; a ruleset whose configurations
      churn past even the grown cache is caught online by the
      [demote] escape hatch instead.
-   - Otherwise the per-rule scanning DFAs win as long as there are
-     few enough rules that scanning the input once per rule stays
-     cheap, and the merged automaton is small enough to determinise
-     per projection (PRO).
    - Otherwise the merged transition-centric engine is the safe
      choice: it is never pathological, and the demoted hybrid is an
-     iMFAnt scan. *)
-let dfa_max_fsas = 64
-
-let dfa_max_states = 4096
-
-let choose f =
-  if f.f_prefilter then "hybrid"
-  else if f.f_fsas <= dfa_max_fsas && f.f_states <= dfa_max_states then "dfa"
-  else "imfant"
-
-(* From a persisted table bundle only table-capable engines can come
-   up, so the per-rule DFAs are not an option; everything that would
-   plan ["hybrid"] still does, the rest goes to iMFAnt. *)
-let choose_tables f = if f.f_prefilter then "hybrid" else "imfant"
+     iMFAnt scan. The per-rule scanning DFAs are never planned: eager
+     subset construction has no budget, so a one-rule ruleset such as
+     [.*a.{20}] would blow it up, and where it was planned (small
+     non-literal rulesets) the hybrid beat it anyway. An artifact
+     plans from the same features, so a table bundle comes up as the
+     engine its rules would. *)
+let choose f = if f.f_prefilter then "hybrid" else "imfant"
 
 (* Online escape hatch: a hybrid whose windowed hit rate stays below
    [demote_below_rate] over [demote_window] steps is churning faster
    than even the adaptively grown cache can absorb — demote it; the
-   demoted hybrid is an iMFAnt scan, and sessions keep their state. *)
-let demote_window = 1 lsl 16
+   demoted hybrid is an iMFAnt scan, and sessions keep their state.
+   Both constants are fitted to a cold hybrid's cumulative hit rate
+   over its first 16 KiB (scale 1.0, 2 KiB feeds, stream seeds 1–10,
+   EXPERIMENTS.md "Monitor window"): BRO 0.883–0.890, PEN
+   0.791–0.798 and RG1 0.545–0.604 keep their hybrid, while TCP
+   0.277–0.315 and DS9 0.094–0.123 demote; 0.45 leaves at least 0.095
+   of margin on each side. At 8 KiB RG1 straddles 0.5, too close to
+   call, and every extra step of the window is a cold, churning step
+   on TCP. *)
+let demote_window = 1 lsl 14
 
-let demote_below_rate = 0.5
+let demote_below_rate = 0.45
 
 let literal_features (z : Mfsa.t) =
   let n = z.Mfsa.n_fsas in

@@ -3,11 +3,12 @@
 
     No single engine dominates across rulesets
     (BENCH_engines.json): the lazy-DFA hybrid wins literal-heavy
-    rulesets by an order of magnitude, the per-rule scanning DFAs win
-    small rulesets where determinisation is cheap, and the merged
+    rulesets by an order of magnitude, and the merged
     transition-centric iMFAnt is the never-pathological fallback. The
-    planner picks between them from cheap static features that the
-    compile pipeline already computes — nothing here runs the input.
+    per-rule scanning DFAs are never planned: their eager subset
+    construction is unbounded. The planner picks between the two from
+    cheap static features that the compile pipeline already computes
+    — nothing here runs the input.
 
     The decision is a heuristic over thresholds fitted to the bundled
     benchmark datasets (documented in DESIGN.md); it can be wrong on
@@ -47,22 +48,12 @@ val features_of_tables : Tables.t -> features
     compiling its rules. *)
 
 val choose : features -> string
-(** Registry name of the planned engine: ["hybrid"], ["dfa"] or
-    ["imfant"]. *)
-
-val choose_tables : features -> string
-(** As {!choose}, restricted to table-capable engines (["hybrid"] or
-    ["imfant"]): per-rule DFAs cannot come up from a table bundle. *)
-
-val dfa_max_fsas : int
-(** Largest rule count at which the per-rule DFAs are considered. *)
-
-val dfa_max_states : int
-(** Largest merged state count at which the per-rule DFAs are
-    considered. *)
+(** Registry name of the planned engine: ["hybrid"] or ["imfant"].
+    Both are table-capable, so an artifact plans the same engine as
+    compiling its rules. *)
 
 val demote_window : int
-(** Steps per online-monitoring window (65536). *)
+(** Steps per online-monitoring window (16384). *)
 
 val demote_below_rate : float
-(** A windowed hybrid hit rate below this (0.5) demotes to iMFAnt. *)
+(** A windowed hybrid hit rate below this (0.45) demotes to iMFAnt. *)

@@ -331,7 +331,7 @@ module Auto_engine : Engine_sig.S = struct
   let name = "auto"
 
   let doc =
-    "planner meta-engine: picks imfant/hybrid/dfa per ruleset from static \
+    "planner meta-engine: picks imfant/hybrid per ruleset from static \
      features; a churning hybrid demotes to iMFAnt mid-stream"
 
   type compiled = {
@@ -352,12 +352,6 @@ module Auto_engine : Engine_sig.S = struct
     | "hybrid" ->
         let h = Hybrid_engine.compile z in
         wrap feats "hybrid" (Engine_sig.pack (module Hybrid_engine) h) (Some h)
-    | "dfa" ->
-        wrap feats "dfa"
-          (Engine_sig.pack
-             (module Dfa_engine_engine)
-             (Dfa_engine_engine.compile z))
-          None
     | _ ->
         wrap feats "imfant"
           (Engine_sig.pack (module Imfant_engine) (Imfant_engine.compile z))
@@ -367,7 +361,7 @@ module Auto_engine : Engine_sig.S = struct
     Some
       (fun tb ->
         let feats = Planner.features_of_tables tb in
-        match Planner.choose_tables feats with
+        match Planner.choose feats with
         | "hybrid" ->
             let h = Hybrid.of_tables tb in
             wrap feats "hybrid"

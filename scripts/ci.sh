@@ -227,9 +227,10 @@ for series in mfsa_engine_planner_choice mfsa_engine_planner_literal_share \
   grep -q "^$series" "$tmp/metrics_auto.prom" || {
     echo "ci: auto-engine exposition is missing $series" >&2; exit 1; }
 done
-# The demo stream is too short for the planner's monitor window, so a
-# second auto scrape runs 256 KiB of generated TCP traffic: the planned
-# hybrid's cache churns and the monitor demotes it to an iMFAnt scan.
+# The 55-byte demo stream never closes the planner's 16 KiB monitor
+# window, so a second auto scrape runs 256 KiB of generated TCP
+# traffic: the planned hybrid's cache churns and the monitor demotes
+# it to an iMFAnt scan.
 # The body must stay well-formed, show the demotion and the active
 # engine, and the match total must equal iMFAnt's.
 dune exec bin/mfsa_dataset.exe -- TCP -r "$tmp/tcp.txt" -s "$tmp/tcp.bin" \
@@ -249,6 +250,13 @@ for e in auto imfant; do
 done
 diff "$tmp/total_auto.txt" "$tmp/total_imfant.txt" || {
   echo "ci: the demoted auto engine diverged from imfant on TCP" >&2; exit 1; }
+# auto never determinises eagerly: a one-rule ruleset whose DFA is
+# exponential must plan iMFAnt and answer at once, not exhaust memory.
+printf '.*a.{20}\n' > "$tmp/blowup.txt"
+printf 'a' > "$tmp/blowup.bin"
+timeout 10 _build/default/bin/mfsa_match.exe -e auto \
+  --rules "$tmp/blowup.txt" "$tmp/blowup.bin" > /dev/null || {
+  echo "ci: auto did not answer .*a.{20} within 10 s" >&2; exit 1; }
 # A third scrape through the sfa{..} wrapper (threshold 1 forces the
 # chunked path even on the demo stream): the split/join series must
 # all expose and the body must stay well-formed.

@@ -378,6 +378,24 @@ let test_session_on_empty_ruleset () =
 
 (* ----------------------------------------------- Engine selection *)
 
+(* A rule whose DFA is exponential, added to a running [auto]
+   ruleset: the next generation plans iMFAnt and answers at once
+   instead of determinising. *)
+let test_live_auto_blowup_rule () =
+  let lv = Live.create ~engine:"auto" () in
+  let t0 = Unix.gettimeofday () in
+  ignore (Live.add_rule_exn lv ".*a.{20}" : int);
+  let n = Live.count lv ("a" ^ String.make 20 'x') in
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.int "matches" 1 n;
+  check Alcotest.bool (Printf.sprintf "under 1 s (%.3f s)" dt) true (dt < 1.);
+  check
+    Alcotest.(option string)
+    "planned imfant" (Some "imfant")
+    (Option.bind
+       (Mfsa_obs.Snapshot.find (Live.metrics lv) "mfsa_engine_planner_choice")
+       (fun s -> List.assoc_opt "planned" s.Mfsa_obs.Snapshot.labels))
+
 let test_live_hybrid_engine () =
   let rules = [| "hello world"; "he(l|n)p"; "lo w" |] in
   let mk engine = Result.get_ok (Live.of_rules ~engine rules) in
@@ -547,6 +565,8 @@ let () =
           Alcotest.test_case "empty ruleset" `Quick test_session_on_empty_ruleset;
           Alcotest.test_case "hybrid engine selection" `Quick
             test_live_hybrid_engine;
+          Alcotest.test_case "auto plans imfant for .*a.{20}" `Quick
+            test_live_auto_blowup_rule;
         ] );
       ( "properties",
         [

@@ -105,6 +105,31 @@ let test_merge_stats_populated () =
   check Alcotest.bool "merged transitions counted" true
     (c.Pl.merge_stats.Mfsa_model.Merge.merged_transitions >= 4)
 
+(* A runtime compile — the rule compiler the pipeline installs in
+   [Source], here reached through [Registry.compile] — counts as a
+   compile and observes the merge stage, but writes no ANML, so the
+   emit stage's histogram does not move. *)
+let test_runtime_compile_skips_emit () =
+  let module S = Mfsa_obs.Snapshot in
+  let snap () = Mfsa_obs.Obs.snapshot Mfsa_obs.Obs.default in
+  let stage_count name =
+    match S.find ~labels:[ ("stage", name) ] (snap ()) "mfsa_compile_stage_seconds" with
+    | Some { S.value = S.Histogram h; _ } -> h.S.count
+    | _ -> 0
+  in
+  let compiles () = Option.value ~default:0. (S.number (snap ()) "mfsa_compile_total") in
+  let c0 = compiles () and m0 = stage_count "merge" and e0 = stage_count "emit" in
+  (match Mfsa_engine.Registry.compile "auto" (Mfsa_engine.Source.Rules rules) with
+  | Ok [ _ ] -> ()
+  | Ok _ -> Alcotest.fail "expected one engine"
+  | Error msg -> Alcotest.fail msg);
+  check (Alcotest.float 0.) "mfsa_compile_total advanced" (c0 +. 1.) (compiles ());
+  check Alcotest.int "merge stage observed" (m0 + 1) (stage_count "merge");
+  check Alcotest.int "emit stage untouched" e0 (stage_count "emit");
+  ignore (Pl.compile_exn rules);
+  check Alcotest.int "a document-writing compile observes emit" (e0 + 1)
+    (stage_count "emit")
+
 (* ---------------------------------------------------------- Report *)
 
 let test_totals_and_compression () =
@@ -165,6 +190,8 @@ let () =
           Alcotest.test_case "ANML loads and runs" `Quick test_anml_output_loads_and_runs;
           Alcotest.test_case "build_fsa" `Quick test_build_fsa;
           Alcotest.test_case "merge stats" `Quick test_merge_stats_populated;
+          Alcotest.test_case "runtime compile skips emit" `Quick
+            test_runtime_compile_skips_emit;
         ] );
       ( "report",
         [

@@ -480,6 +480,81 @@ let test_auto_demotes_on_tcp () =
     Alcotest.(list (pair int int))
     "whole stream = imfant" (events reference) (events (!before @ after))
 
+(* The monitor's verdict, pinned per dataset: a fresh [auto] fed 2 KiB
+   chunks of a 32 KiB stream keeps its planned hybrid where the cold
+   cache hits (BRO, PEN, RG1) and demotes exactly once, when the first
+   16 KiB window closes, where it churns (TCP, DS9). *)
+let test_auto_verdicts () =
+  let chunk = 2048 in
+  List.iter
+    (fun (abbr, demotes) ->
+      let ds = Option.get (Mfsa_datasets.Datasets.find ~scale:1.0 abbr) in
+      let z =
+        match (Mfsa_core.Pipeline.compile_exn ds.rules).mfsas with
+        | [ z ] -> z
+        | _ -> assert false
+      in
+      for seed = 1 to 3 do
+        let stream =
+          Mfsa_datasets.Stream_gen.generate ~seed ~payload:ds.payload
+            ~size:(32 * 1024) ds.rules
+        in
+        let auto = Registry.compile_automaton_exn "auto" z in
+        let demotions () =
+          Option.value ~default:0.
+            (Mfsa_obs.Snapshot.number (Engine_sig.stats auto)
+               "mfsa_engine_demotions_total")
+        in
+        let s = Engine_sig.session auto in
+        let demoted_at = ref None in
+        for i = 0 to (String.length stream / chunk) - 1 do
+          ignore (Engine_sig.feed s (String.sub stream (i * chunk) chunk));
+          if !demoted_at = None && demotions () > 0. then
+            demoted_at := Some ((i + 1) * chunk)
+        done;
+        let what = Printf.sprintf "%s seed %d" abbr seed in
+        check
+          Alcotest.(option int)
+          (what ^ ": demoted at")
+          (if demotes then Some (16 * 1024) else None)
+          !demoted_at;
+        check (Alcotest.float 0.)
+          (what ^ ": demotions")
+          (if demotes then 1. else 0.)
+          (demotions ());
+        check Alcotest.bool (what ^ ": planned hybrid") true
+          (Mfsa_obs.Snapshot.find
+             ~labels:
+               [
+                 ("engine", "auto");
+                 ("planned", "hybrid");
+                 ("active", if demotes then "imfant" else "hybrid");
+               ]
+             (Engine_sig.stats auto) "mfsa_engine_planner_choice"
+          <> None)
+      done)
+    [ ("BRO", false); ("PEN", false); ("RG1", false); ("TCP", true); ("DS9", true) ]
+
+(* A one-rule ruleset whose DFA is exponential: [auto] never
+   determinises eagerly, so it plans iMFAnt and comes up at once. *)
+let test_auto_blowup_rule () =
+  let t0 = Unix.gettimeofday () in
+  let eng =
+    match Registry.compile "auto" (Mfsa_engine.Source.Rules [| ".*a.{20}" |]) with
+    | Ok [ e ] -> e
+    | Ok _ -> Alcotest.fail "expected one engine"
+    | Error msg -> Alcotest.fail msg
+  in
+  let n = Engine_sig.count eng ("a" ^ String.make 20 'x') in
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.int "matches" 1 n;
+  check Alcotest.bool (Printf.sprintf "under 1 s (%.3f s)" dt) true (dt < 1.);
+  check Alcotest.bool "planned imfant" true
+    (Mfsa_obs.Snapshot.find
+       ~labels:[ ("engine", "auto"); ("planned", "imfant"); ("active", "imfant") ]
+       (Engine_sig.stats eng) "mfsa_engine_planner_choice"
+    <> None)
+
 let () =
   Alcotest.run "registry"
     [
@@ -520,5 +595,9 @@ let () =
         [
           Alcotest.test_case "demotes once on TCP, then = imfant" `Quick
             test_auto_demotes_on_tcp;
+          Alcotest.test_case "verdict at the 16 KiB window close" `Quick
+            test_auto_verdicts;
+          Alcotest.test_case ".*a.{20} plans imfant at once" `Quick
+            test_auto_blowup_rule;
         ] );
     ]
