@@ -1005,11 +1005,17 @@ let write_sfa_json rows =
      honest wall clock, but meaningless as a scaling signal on a
      single-core container.
 
+   The span speedup's sequential time is measured beside its span,
+   per domain count: the two passes alternate, best of at least 5
+   rounds each, so a disturbance hits both sides of the ratio rather
+   than one sequential sample skewing every row.
+
    Both paths' event lists must equal the sequential reference exactly
    (DIVERGED and exit 1 otherwise). Writes BENCH_sfa.json. *)
 let sfa_bench cfg =
   let inner = "imfant" in
   let reps = max 1 cfg.E.reps in
+  let rounds = max 5 reps in
   let best f =
     let r = ref (f ()) in
     for _ = 2 to reps do
@@ -1038,7 +1044,6 @@ let sfa_bench cfg =
                (fun e -> (e.Imfant.fsa, e.Imfant.end_pos))
                (Imfant.run im stream))
         in
-        let t_seq, _ = best (fun () -> time (fun () -> Imfant.run im stream)) in
         List.map
           (fun d ->
             let sf =
@@ -1060,13 +1065,18 @@ let sfa_bench cfg =
               Array.fold_left max 0. t.Mfsa_engine.Sfa.chunk_s
               +. t.Mfsa_engine.Sfa.join_s
             in
-            let t_span, span_events =
-              best (fun () ->
-                  let ev, t = Mfsa_engine.Sfa.run_span sf stream in
-                  (span_of t, ev))
-            in
+            let t_seq = ref infinity and t_span = ref infinity in
+            let span_events = ref [] in
+            for _ = 1 to rounds do
+              let dt, _ = time (fun () -> Imfant.run im stream) in
+              t_seq := Float.min !t_seq dt;
+              let ev, t = Mfsa_engine.Sfa.run_span sf stream in
+              t_span := Float.min !t_span (span_of t);
+              span_events := ev
+            done;
+            let t_seq = !t_seq and t_span = !t_span in
             let agree =
-              events wall_events = reference && events span_events = reference
+              events wall_events = reference && events !span_events = reference
             in
             let r =
               {

@@ -101,8 +101,6 @@ type t = {
   mutable bypass : bool;
       (* Demoted: the memo cache is out of the loop and the engine is
          a plain iMFAnt scan. *)
-  mutable last_edge : int array;
-      (* Matches of the edge the latest [step] traversed. *)
   mutable epoch : int;
       (* Bumped by every flush. Row ids > dead_id minted before the
          current epoch index dropped rows; sessions compare epochs
@@ -235,7 +233,6 @@ let of_imfant ?(cache_size = default_cache_size) im =
       cap = cache_size;
       mint = 0;
       bypass = false;
-      last_edge = [||];
       epoch = 0;
       steps = 0;
       hits = 0;
@@ -353,8 +350,9 @@ let edge_set t (sp : Imfant.stepper) =
 (* The cache miss: one call into iMFAnt's step kernel from the row's
    configuration, then intern the successor and memoise the edge —
    unless clock eviction picked the very row we stepped from as the
-   victim (its stamp moved). *)
-let miss t cur c =
+   victim (its stamp moved). The edge's matches go to [emit] at end
+   offset [pos]; returns the successor row. *)
+let miss t cur c ~emit pos =
   t.misses <- t.misses + 1;
   let sp = t.sp in
   Imfant.config_step t.im sp t.keys.(cur) c ~at_start:(cur = start_id);
@@ -367,24 +365,59 @@ let miss t cur c =
     t.next_stamp.(e) <- t.stamps.(id);
     if Array.length ms > 0 then Int_tbl.replace t.edge_sets e ms
   end;
-  t.last_edge <- ms;
+  if Array.length ms > 0 then emit ms pos;
   id
 
-(* Consume class [c] from row [cur] and return the successor row,
-   leaving the edge's match set in [t.last_edge]: a memo lookup,
-   validated against the successor slot's stamp, or a miss. *)
-let step t cur c =
-  t.steps <- t.steps + 1;
-  let e = (cur * t.k) + c in
-  let x = t.next.(e) in
-  let nxt = x asr 1 in
-  if x >= 0 && t.next_stamp.(e) = t.stamps.(nxt) then begin
-    t.hits <- t.hits + 1;
-    Bytes.set t.refs nxt '\001';
-    t.last_edge <- (if x land 1 = 0 then [||] else Int_tbl.find t.edge_sets e);
-    nxt
-  end
-  else miss t cur c
+(* The one hot loop, shared by batch scans and sessions: consume
+   input.[start..stop-1] from row [cur]; return the row reached. The
+   inner loop runs plain hits: a memo load and a stamp compare per
+   byte, all in locals, no call. A matching hit (its set goes to
+   [emit]) or a miss is stepped outside it, with the counters written
+   back first ([maybe_resize] reads [t.steps]) and the rows reloaded
+   after ([grow_rows] reallocates them). *)
+let walk t input ~start ~stop cur ~emit =
+  let k = t.k and class_of = t.class_of in
+  let cls i =
+    Char.code
+      (Bytes.unsafe_get class_of (Char.code (String.unsafe_get input i)))
+  in
+  let cur = ref cur and i = ref start in
+  while !i < stop do
+    let next = t.next and next_stamp = t.next_stamp in
+    let stamps = t.stamps and refs = t.refs in
+    let i0 = !i and lim = ref stop in
+    while !i < !lim do
+      let e = (!cur * k) + cls !i in
+      let x = Array.unsafe_get next e in
+      (* An even entry is a memoised edge without matches (-1 is odd). *)
+      if
+        x land 1 = 0
+        && Array.unsafe_get next_stamp e = Array.unsafe_get stamps (x asr 1)
+      then begin
+        Bytes.unsafe_set refs (x asr 1) '\001';
+        cur := x asr 1;
+        incr i
+      end
+      else lim := !i
+    done;
+    t.hits <- t.hits + (!i - i0);
+    t.steps <- t.steps + (!i - i0);
+    if !i < stop then begin
+      t.steps <- t.steps + 1;
+      let c = cls !i in
+      let e = (!cur * k) + c in
+      let x = next.(e) in
+      incr i;
+      if x >= 0 && next_stamp.(e) = stamps.(x asr 1) then begin
+        t.hits <- t.hits + 1;
+        Bytes.set refs (x asr 1) '\001';
+        cur := x asr 1;
+        emit (Int_tbl.find t.edge_sets e) !i
+      end
+      else cur := miss t !cur c ~emit !i
+    end
+  done;
+  !cur
 
 (* ------------------------------------------------------- Demotion *)
 
@@ -433,30 +466,19 @@ let run_chunk t input ~start ~stop ~on_match =
   else begin
     let z = t.z in
     let len = String.length input in
-    let class_of = t.class_of in
-    let cls i =
-      Char.code
-        (Bytes.unsafe_get class_of (Char.code (String.unsafe_get input i)))
-    in
     let emit ms pos =
-      let n = Array.length ms in
-      if n > 0 then
-        if not t.any_end_anchor then
-          for j = 0 to n - 1 do
-            on_match ms.(j) pos
-          done
-        else
-          for j = 0 to n - 1 do
-            let f = ms.(j) in
-            if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
-          done
+      if not t.any_end_anchor then
+        for j = 0 to Array.length ms - 1 do
+          on_match ms.(j) pos
+        done
+      else
+        for j = 0 to Array.length ms - 1 do
+          let f = ms.(j) in
+          if (not z.Mfsa.anchored_end.(f)) || pos = len then on_match f pos
+        done
     in
-    let cur = ref (if start = 0 then start_id else dead_id) in
-    for i = start to stop - 1 do
-      cur := step t !cur (cls i);
-      emit t.last_edge (i + 1)
-    done;
-    t.keys.(!cur)
+    let cur = if start = 0 then start_id else dead_id in
+    t.keys.(walk t input ~start ~stop cur ~emit)
   end
 
 let execute t input ~on_match =
@@ -613,36 +635,29 @@ let revalidate s =
 let feed_cached s chunk =
   let t = s.eng in
   revalidate s;
-  let z = t.z in
+  let anchored = t.z.Mfsa.anchored_end in
   let len = String.length chunk in
-  let class_of = t.class_of in
-  let cls i =
-    Char.code
-      (Bytes.unsafe_get class_of (Char.code (String.unsafe_get chunk i)))
-  in
-  let acc = ref [] in
   let base = s.pos in
-  let cur = ref s.cur in
-  for i = 0 to len - 1 do
-    (* Any continuation invalidates matches that were waiting for
-       end-of-stream. *)
-    s.pending_end <- [];
-    cur := step t !cur (cls i);
-    let ms = t.last_edge in
+  let acc = ref [] and pending = ref [] in
+  let emit ms i =
     for j = 0 to Array.length ms - 1 do
       let f = ms.(j) in
-      if z.Mfsa.anchored_end.(f) then s.pending_end <- f :: s.pending_end
-      else acc := { fsa = f; end_pos = base + i + 1 } :: !acc
+      if not anchored.(f) then acc := { fsa = f; end_pos = base + i } :: !acc
+      else if i = len then pending := f :: !pending
     done
-  done;
+  in
+  let cur = walk t chunk ~start:0 ~stop:len s.cur ~emit in
+  (* Any continuation invalidates matches that were waiting for
+     end-of-stream: only the last byte's end-anchored matches wait. *)
+  if len > 0 then s.pending_end <- !pending;
   s.pos <- base + len;
-  s.cur <- !cur;
-  s.key <- t.keys.(!cur);
+  s.cur <- cur;
+  s.key <- t.keys.(cur);
   (* A miss inside this chunk may have evicted; the id we hold was
      minted (or revalidated) afterwards, so resync the epoch and the
      slot stamp rather than re-intern. *)
   s.epoch <- t.epoch;
-  s.stamp <- t.stamps.(!cur);
+  s.stamp <- t.stamps.(cur);
   List.rev !acc
 
 (* A session follows its engine's mode, converting between feeds: a

@@ -15,6 +15,18 @@
     computed once and cached; from then on, processing that byte in
     that configuration is a table lookup.
 
+    One loop walks the memo rows for every entry point: {!run},
+    {!count}, {!count_per_fsa}, {!run_chunk} and a cached session's
+    {!feed}. A hit on an edge without matches costs a class-map read,
+    one memo load and one stamp compare, a reference-bit store, and
+    no call, allocation or write barrier; the loop keeps the rows, the
+    class map, the row id and the position in locals. It leaves the
+    inner loop only at an edge whose match bit is set, where it looks
+    the match set up once and reports it, and at a miss. The hit and
+    step counters are written back per run of hits, not per byte, and
+    a session settles its pending end-anchored matches once, from the
+    last byte of the chunk.
+
     A cache miss is one call of iMFAnt's step kernel
     ({!Imfant.config_step}) from the row's configuration; the
     successor is hashed and compared in place and copied into a new

@@ -322,7 +322,8 @@ module Dfa_engine_engine = Buffered_session (Dfa_base)
    {!Planner} computes at compile time, then delegates everything to
    the planned engine's adapter. When the plan is [hybrid] it keeps a
    typed handle on the engine and watches the windowed cache hit rate
-   after every batch call and chunk: sustained churn demotes the
+   after every chunk and batch call, and between the window-sized
+   slices of a long batch call: sustained churn demotes the
    hybrid ({!Hybrid.demote}), and the demoted hybrid is an iMFAnt
    scan whose sessions keep their state. Stats are the inner engine's
    series relabelled [engine="auto"], plus the planner's own series
@@ -399,20 +400,65 @@ module Auto_engine : Engine_sig.S = struct
           end
         end
 
+  (* A batch call longer than the monitor window on a live hybrid runs
+     as one hybrid session, fed in window-sized slices with the
+     monitor judging between them, so a churning cache demotes inside
+     the call: [Hybrid.feed] crosses the demotion without losing
+     position or pending matches. [on_events] sees each slice's
+     events; returns [finish]'s, or [None], having run nothing, when
+     the call is short or the hybrid is already demoted. *)
+  let sliced c input ~on_events =
+    let w = Planner.demote_window and n = String.length input in
+    match c.hy with
+    | Some h when n > w && not (Hybrid.demoted h) ->
+        let s = Hybrid.session h in
+        for i = 0 to (n - 1) / w do
+          let pos = i * w in
+          on_events (Hybrid.feed s (String.sub input pos (min w (n - pos))));
+          monitor c
+        done;
+        Some (Hybrid.finish s)
+    | _ -> None
+
   let run c input =
-    let evs = Engine_sig.run c.packed input in
-    monitor c;
-    evs
+    let rev = ref [] in
+    let on_events evs = rev := List.rev_append evs !rev in
+    match sliced c input ~on_events with
+    | Some fin ->
+        (* [finish]'s matches end where the last slice's last ones do:
+           only that end position needs re-sorting by FSA. *)
+        let n = String.length input in
+        let rec split last = function
+          | e :: rest when e.end_pos = n -> split (e :: last) rest
+          | rest -> List.rev_append rest (sort_events (last @ fin))
+        in
+        split [] !rev
+    | None ->
+        let evs = Engine_sig.run c.packed input in
+        monitor c;
+        evs
 
   let count c input =
-    let n = Engine_sig.count c.packed input in
-    monitor c;
-    n
+    let n = ref 0 in
+    let on_events evs = n := !n + List.length evs in
+    match sliced c input ~on_events with
+    | Some fin -> !n + List.length fin
+    | None ->
+        let n = Engine_sig.count c.packed input in
+        monitor c;
+        n
 
   let count_per_fsa c input =
-    let a = Engine_sig.count_per_fsa c.packed input in
-    monitor c;
-    a
+    let a = Array.make (mfsa c).Mfsa.n_fsas 0 in
+    let tally = List.iter (fun e -> a.(e.fsa) <- a.(e.fsa) + 1) in
+    match sliced c input ~on_events:tally with
+    | Some fin ->
+        tally fin;
+        a
+    | None ->
+        let a = Engine_sig.count_per_fsa c.packed input in
+        monitor c;
+        a
 
   let active c =
     match c.hy with

@@ -241,6 +241,11 @@ check_prom "$tmp/metrics_demote.prom"
 awk '/^mfsa_engine_demotions_total/ { n += $2 } END { exit !(n >= 1) }' \
   "$tmp/metrics_demote.prom" || {
   echo "ci: auto did not demote on the TCP stream" >&2; exit 1; }
+# The batch call is judged between 16 KiB slices, so the cold hybrid
+# demotes after the first one instead of churning through the input.
+awk '/^mfsa_engine_cache_interned_total/ { n += $2 } END { exit !(n <= 32768) }' \
+  "$tmp/metrics_demote.prom" || {
+  echo "ci: auto interned over 32768 configurations before demoting on TCP" >&2; exit 1; }
 grep -q '^mfsa_engine_planner_choice{active="imfant"' "$tmp/metrics_demote.prom" || {
   echo "ci: the demoted auto engine does not report imfant active" >&2; exit 1; }
 for e in auto imfant; do

@@ -192,6 +192,27 @@ let test_stream_start_anchor_respects_position () =
   check Alcotest.(list (pair int int)) "fresh stream matches again" [ (0, 2) ]
     (hy_events (Hy.feed s "abx"))
 
+(* The session's end-anchored matches are settled from the last byte
+   of each feed. On a warm cache every step is a hit: "ab$" matched at
+   the end of the first feed is dropped by the second, reported only
+   by [finish] (end 4), and the whole equals [run "abab"]. *)
+let test_stream_pending_end_warm () =
+  let hy = Hy.compile (merge_rules [ "ab$"; "b" ]) in
+  let whole = hy_events (Hy.run hy "abab") in
+  ignore (Hy.run hy "abab");
+  let misses = (Hy.stats hy).Hy.misses in
+  let s = Hy.session hy in
+  let fst_feed = Hy.feed s "ab" in
+  let snd_feed = Hy.feed s "ab" in
+  check Alcotest.(list (pair int int)) "feeds report only b" [ (1, 2); (1, 4) ]
+    (hy_events (fst_feed @ snd_feed));
+  let fin = Hy.finish s in
+  check Alcotest.(list (pair int int)) "ab$ at finish" [ (0, 4) ]
+    (hy_events fin);
+  check Alcotest.(list (pair int int)) "= run" (sort whole)
+    (sort (hy_events (fst_feed @ snd_feed @ fin)));
+  check Alcotest.int "all hits" misses (Hy.stats hy).Hy.misses
+
 (* Concurrent sessions share one cache: an eviction forced by either
    one (or by a whole-string [run] on the same engine) must not leave
    the other's state dangling on a reused slot. A 2-entry cache makes
@@ -459,6 +480,56 @@ let prop_demotion_between_chunks =
          && sort (hy_events (List.rev !acc2 @ Hy.finish s2))
             = sort (im_events (Im.run im in2))))
 
+(* The hit loop ends its runs at matching edges and misses, and on a
+   1- to 3-row cache misses evict mid-chunk, so hit runs keep ending
+   on rows that were just reused. Random chunkings of a session (empty
+   chunks included), [run] and a whole-input [run_chunk] must all
+   report iMFAnt's events, and every step is a hit or a miss after
+   every call. *)
+let prop_hit_loop_tiny_cache =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"hit loop: chunked session, run, run_chunk = imfant (cache 1-3)"
+       ~print:(fun ((rules, input), (cache_size, cuts)) ->
+         Printf.sprintf "%s cache_size=%d cuts=[%s]"
+           (Gen_re.print_ruleset_input (rules, input))
+           cache_size
+           (String.concat ";" (List.map string_of_int cuts)))
+       QCheck2.Gen.(
+         pair
+           (pair (Gen_re.ruleset ()) Gen_re.input)
+           (pair (int_range 1 3) (list_size (int_range 0 8) (int_bound 6))))
+       (fun ((rules, input), (cache_size, cuts)) ->
+         let z = build_ruleset rules in
+         let im = Im.compile z in
+         let hy = Hy.of_imfant ~cache_size im in
+         let reference = im_events (Im.run im input) in
+         let balanced () =
+           let st = Hy.stats hy in
+           st.Hy.steps = st.Hy.hits + st.Hy.misses
+         in
+         let s = Hy.session hy in
+         let n = String.length input in
+         let fed = ref [] and p = ref 0 and ok = ref true in
+         let feed w =
+           let w = min w (n - !p) in
+           fed := List.rev_append (Hy.feed s (String.sub input !p w)) !fed;
+           p := !p + w;
+           ok := !ok && balanced ()
+         in
+         List.iter feed cuts;
+         feed n;
+         let streamed = sort (hy_events (List.rev !fed @ Hy.finish s)) in
+         let ran = hy_events (Hy.run hy input) in
+         let ok_run = balanced () in
+         let chunked, _ =
+           events_of_chunk (Hy.run_chunk hy input ~start:0 ~stop:n)
+         in
+         !ok && ok_run && balanced ()
+         && streamed = sort reference
+         && ran = reference
+         && chunked = sort reference))
+
 let () =
   Alcotest.run "hybrid"
     [
@@ -486,6 +557,8 @@ let () =
             test_stream_equals_whole;
           Alcotest.test_case "end-anchored at finish" `Quick
             test_stream_end_anchored;
+          Alcotest.test_case "end-anchored on a warm cache" `Quick
+            test_stream_pending_end_warm;
           Alcotest.test_case "start anchor and reset" `Quick
             test_stream_start_anchor_respects_position;
           Alcotest.test_case "concurrent sessions survive evictions" `Quick
@@ -500,5 +573,6 @@ let () =
           prop_chunked_stream_equals_imfant;
           prop_interleaved_sessions_tiny_cache;
           prop_demotion_between_chunks;
+          prop_hit_loop_tiny_cache;
         ] );
     ]

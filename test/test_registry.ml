@@ -535,6 +535,65 @@ let test_auto_verdicts () =
       done)
     [ ("BRO", false); ("PEN", false); ("RG1", false); ("TCP", true); ("DS9", true) ]
 
+(* A batch call longer than the monitor window is judged inside the
+   call: one [count] over 96 KiB of TCP demotes the churning hybrid
+   after its first 16 KiB slice, so the cold cache interns at most two
+   windows' worth of configurations, and the count is still iMFAnt's. *)
+let test_auto_batch_demotes_inside_call () =
+  let ds = Option.get (Mfsa_datasets.Datasets.find ~scale:1.0 "TCP") in
+  let z =
+    match (Mfsa_core.Pipeline.compile_exn ds.rules).mfsas with
+    | [ z ] -> z
+    | _ -> assert false
+  in
+  let stream =
+    Mfsa_datasets.Stream_gen.generate ~seed:1 ~payload:ds.payload
+      ~size:(96 * 1024) ds.rules
+  in
+  let auto = Registry.compile_automaton_exn "auto" z in
+  let imfant = Registry.compile_automaton_exn "imfant" z in
+  check Alcotest.int "count = imfant" (Engine_sig.count imfant stream)
+    (Engine_sig.count auto stream);
+  let number name = Mfsa_obs.Snapshot.number (Engine_sig.stats auto) name in
+  check Alcotest.(option (float 0.)) "demoted once, inside the call" (Some 1.)
+    (number "mfsa_engine_demotions_total");
+  let interned =
+    Option.value ~default:0. (number "mfsa_engine_cache_interned_total")
+  in
+  check Alcotest.bool
+    (Printf.sprintf "interned %.0f <= 2 windows" interned)
+    true
+    (interned <= float_of_int (2 * Mfsa_engine.Planner.demote_window))
+
+(* The sliced batch path keeps the batch order: at the last end
+   position an end-anchored match (reported by the session's finish)
+   sorts by FSA id among the unanchored ones of the last slice. *)
+let test_auto_sliced_run_order () =
+  let rules = [| "xab$"; "ab"; "xa" |] in
+  let eng name =
+    match Registry.compile name (Mfsa_engine.Source.Rules rules) with
+    | Ok [ e ] -> e
+    | _ -> Alcotest.fail "expected one engine"
+  in
+  let auto = eng "auto" and imfant = eng "imfant" in
+  let input = String.make 40000 'x' ^ "abxab" in
+  check Alcotest.bool "planned hybrid" true
+    (Mfsa_obs.Snapshot.find
+       ~labels:[ ("engine", "auto"); ("planned", "hybrid"); ("active", "hybrid") ]
+       (Engine_sig.stats auto) "mfsa_engine_planner_choice"
+    <> None);
+  let in_order l =
+    List.map (fun e -> (e.Engine_sig.fsa, e.Engine_sig.end_pos)) l
+  in
+  check
+    Alcotest.(list (pair int int))
+    "run = imfant, in order"
+    (in_order (Engine_sig.run imfant input))
+    (in_order (Engine_sig.run auto input));
+  check Alcotest.(array int) "count_per_fsa = imfant"
+    (Engine_sig.count_per_fsa imfant input)
+    (Engine_sig.count_per_fsa auto input)
+
 (* A one-rule ruleset whose DFA is exponential: [auto] never
    determinises eagerly, so it plans iMFAnt and comes up at once. *)
 let test_auto_blowup_rule () =
@@ -599,5 +658,9 @@ let () =
             test_auto_verdicts;
           Alcotest.test_case ".*a.{20} plans imfant at once" `Quick
             test_auto_blowup_rule;
+          Alcotest.test_case "a long batch call demotes inside the call"
+            `Quick test_auto_batch_demotes_inside_call;
+          Alcotest.test_case "sliced run keeps the batch order" `Quick
+            test_auto_sliced_run_order;
         ] );
     ]
