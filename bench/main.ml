@@ -4,7 +4,7 @@
 
    - `dune exec bench/main.exe` (or with artefact names such as
      `fig7 table2`): regenerates the paper's evaluation artefacts —
-     every table and figure of §VI — via Mfsa_core.Experiments and
+     every table and figure of §VI — via Mfsa_paper.Experiments and
      prints them in paper order.
 
    - `dune exec bench/main.exe -- bechamel`: runs one Bechamel
@@ -25,16 +25,17 @@
    and mfsa-live) to pick the registry engine under test; `-e help`
    lists the registered names. *)
 
-module E = Mfsa_core.Experiments
+module E = Mfsa_paper.Experiments
 module Pipeline = Mfsa_core.Pipeline
 module Datasets = Mfsa_datasets.Datasets
 module Stream_gen = Mfsa_datasets.Stream_gen
 module Merge = Mfsa_model.Merge
 module Imfant = Mfsa_engine.Imfant
-module Infant = Mfsa_engine.Infant
+module Infant = Mfsa_paper.Infant
+module Dfa_engine = Mfsa_paper.Dfa_engine
 module Hybrid = Mfsa_engine.Hybrid
-module Schedule = Mfsa_engine.Schedule
-module Indel = Mfsa_util.Indel
+module Schedule = Mfsa_paper.Schedule
+module Indel = Mfsa_paper.Indel
 module Report = Mfsa_core.Report
 module Live = Mfsa_live.Live
 module Registry = Mfsa_engine.Registry
@@ -68,6 +69,11 @@ let fixture =
      ignore (Hybrid.count hybrid stream);
      (ds, fsas, z, imfant, hybrid, infants, stream))
 
+let per_rule_dfas fsas =
+  let rs = Array.map (fun a -> Dfa_engine.compile a) fsas in
+  if Array.for_all Result.is_ok rs then Some (Array.map Result.get_ok rs)
+  else None
+
 let tests () =
   let ds, fsas, z, imfant, hybrid, infants, stream = Lazy.force fixture in
   [
@@ -99,20 +105,25 @@ let tests () =
     Test.make ~name:"fig9-infant-baseline"
       (Staged.stage (fun () ->
            Array.iter (fun eng -> ignore (Infant.count eng stream)) infants));
-    (* Baseline engines contrasted in the baselines experiment. *)
-    Test.make ~name:"baseline-dfa-per-rule"
-      (Staged.stage
-         (let engines =
-            Array.map (fun a -> Mfsa_engine.Dfa_engine.compile a) fsas
-          in
-          fun () ->
-            Array.iter
-              (fun e -> ignore (Mfsa_engine.Dfa_engine.count e stream))
-              engines));
+  ]
+  (* Baseline engines contrasted in the baselines experiment. A rule
+     past the DFA state budget makes the per-rule DFA row read "over
+     budget" instead of timing a partial ruleset. *)
+  @ (match per_rule_dfas fsas with
+    | Some engines ->
+        [
+          Test.make ~name:"baseline-dfa-per-rule"
+            (Staged.stage (fun () ->
+                 Array.iter (fun e -> ignore (Dfa_engine.count e stream)) engines));
+        ]
+    | None ->
+        Printf.printf "%-28s %16s\n" "baseline-dfa-per-rule" "over budget";
+        [])
+  @ [
     Test.make ~name:"baseline-decomposed"
       (Staged.stage
-         (let t = Mfsa_engine.Decomposed.compile fsas in
-          fun () -> ignore (Mfsa_engine.Decomposed.count t stream)));
+         (let t = Mfsa_paper.Decomposed.compile fsas in
+          fun () -> ignore (Mfsa_paper.Decomposed.count t stream)));
     Test.make ~name:"anml-homogeneous-ste"
       (Staged.stage
          (let h = Mfsa_anml.Homogeneous.of_mfsa z in

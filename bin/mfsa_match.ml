@@ -231,8 +231,8 @@ let stats =
     & info [ "s"; "stats" ]
         ~doc:
           "Report per-MFSA engine statistics (each engine reports its own: \
-           active-FSA pressure for imfant, cache behaviour for hybrid, table \
-           sizes for dfa, ...).")
+           prefilter skips for imfant, cache behaviour for hybrid, the plan \
+           for auto).")
 
 let deadline =
   Arg.(

@@ -1,7 +1,7 @@
 (* mfsa-report: regenerate the paper's evaluation artefacts (Tables I
    and II, Figures 1 and 7-10) on the synthetic datasets. *)
 
-module E = Mfsa_core.Experiments
+module E = Mfsa_paper.Experiments
 
 let experiments =
   [

@@ -11,10 +11,10 @@
 
 module Pipeline = Mfsa_core.Pipeline
 module Report = Mfsa_core.Report
-module Cluster = Mfsa_core.Cluster
+module Cluster = Mfsa_paper.Cluster
 module Merge = Mfsa_model.Merge
 module Mfsa = Mfsa_model.Mfsa
-module Ccsplit = Mfsa_model.Ccsplit
+module Ccsplit = Mfsa_paper.Ccsplit
 module Imfant = Mfsa_engine.Imfant
 module Nfa = Mfsa_automata.Nfa
 

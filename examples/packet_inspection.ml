@@ -13,7 +13,7 @@ module Report = Mfsa_core.Report
 module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
 module Imfant = Mfsa_engine.Imfant
-module Infant = Mfsa_engine.Infant
+module Infant = Mfsa_paper.Infant
 module Stream_gen = Mfsa_datasets.Stream_gen
 
 let signatures =

@@ -1,6 +1,5 @@
 module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
-module Ccsplit = Mfsa_model.Ccsplit
 module Imfant = Mfsa_engine.Imfant
 module Pool = Mfsa_engine.Pool
 module Anml = Mfsa_anml.Anml
@@ -29,16 +28,12 @@ let sequential_groups ~m n =
   List.init ((n + m - 1) / m) (fun g ->
       List.init (min m (n - (g * m))) (fun k -> (g * m) + k))
 
-let compile ?(m = 0) ?(cluster = false) ?(ccsplit = false) patterns =
+let compile ?(m = 0) patterns =
   match Pipeline.build_fsas patterns with
   | Error e -> Error e
   | Ok fsas ->
       let before = Report.fsa_totals fsas in
-      let fsas = if ccsplit then Ccsplit.split fsas else fsas in
-      let groups =
-        if cluster then Cluster.group ~m patterns
-        else sequential_groups ~m (Array.length patterns)
-      in
+      let groups = sequential_groups ~m (Array.length patterns) in
       let mfsas =
         List.map
           (fun g -> Merge.merge (Array.of_list (List.map (fun i -> fsas.(i)) g)))
@@ -46,8 +41,8 @@ let compile ?(m = 0) ?(cluster = false) ?(ccsplit = false) patterns =
       in
       Ok (make ~patterns ~groups ~mfsas ~before:(Some before))
 
-let compile_exn ?m ?cluster ?ccsplit patterns =
-  match compile ?m ?cluster ?ccsplit patterns with
+let compile_exn ?m patterns =
+  match compile ?m patterns with
   | Ok t -> t
   | Error e -> raise (Pipeline.Compile_error e)
 
@@ -114,8 +109,8 @@ let of_anml doc =
   | Ok [] -> Error "Ruleset.of_anml: document contains no MFSA"
   | Ok mfsas ->
       (* Rule indices follow document order: group by group, local id
-         by local id. Rulesets compiled without clustering keep their
-         original order through the round trip. *)
+         by local id — the sequential grouping [compile] writes, so a
+         round trip keeps the original order. *)
       let counter = ref 0 in
       let groups =
         List.map

@@ -1,8 +1,7 @@
 (** High-level ruleset matching — the library's front door.
 
     Wraps the whole system for the common consumer: compile a ruleset
-    once (choosing the merging factor and, optionally, the clustering
-    and partial-CC-merging extensions), then match streams; matches
+    once (choosing the merging factor), then match streams; matches
     are reported against the {e original rule indices} regardless of
     how rules were grouped and merged internally. Engines are compiled
     lazily once and reused across calls; multi-MFSA rulesets can be
@@ -18,24 +17,12 @@ type t
 
 type match_event = { rule : int;  (** Index into the compiled rules. *) end_pos : int }
 
-val compile :
-  ?m:int ->
-  ?cluster:bool ->
-  ?ccsplit:bool ->
-  string array ->
-  (t, Pipeline.error) result
+val compile : ?m:int -> string array -> (t, Pipeline.error) result
 (** [compile rules] builds the matcher. [m] is the merging factor
-    (default 0 = one MFSA for the whole ruleset); [cluster] (default
-    false) groups rules by INDEL similarity instead of sequentially
-    (paper §VIII); [ccsplit] (default false) enables partial
-    character-class merging (paper §VI-A). *)
+    (default 0 = one MFSA for the whole ruleset); rules are grouped
+    sequentially, [m] at a time. *)
 
-val compile_exn :
-  ?m:int ->
-  ?cluster:bool ->
-  ?ccsplit:bool ->
-  string array ->
-  t
+val compile_exn : ?m:int -> string array -> t
 (** @raise Pipeline.Compile_error on the first offending rule. *)
 
 val n_rules : t -> int

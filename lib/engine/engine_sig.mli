@@ -1,10 +1,9 @@
 (** The first-class engine interface.
 
     Every execution engine in this library — the transition-centric
-    {!Imfant}, the lazy-DFA {!Hybrid}, the per-rule baselines
-    {!Infant} and {!Dfa_engine}, the decomposition matcher
-    {!Decomposed} — answers the same question: given a compiled MFSA
-    and an input, which merged FSAs match where?  {!S} captures that
+    {!Imfant}, the lazy-DFA {!Hybrid} and the wrappers over them —
+    answers the same question: given a compiled MFSA and an input,
+    which merged FSAs match where?  {!S} captures that
     contract once, so callers (the live-update layer, the CLIs, the
     benchmark harness, the serving layer) select an engine by name
     through {!Registry} instead of hard-wiring per-engine branches.
@@ -61,9 +60,8 @@ module type S = sig
   (** The engine's {e artifact-loading capability}: [Some load]
       means the engine can come up directly from a persisted table
       bundle in O(size) with no re-derivation ([imfant], [hybrid],
-      [auto]); [None] means it cannot (the per-rule [dfa] engine
-      re-derives per-projection tables the bundle does not carry, and
-      the [faulty{..}] wrapper never loads artifacts), and
+      [auto]); [None] means it cannot (only the [faulty{..}] wrapper,
+      which never loads artifacts), and
       {!Registry}-level compilation from an artifact source fails
       with a clean one-line user error instead of a backtrace. *)
 
@@ -96,8 +94,7 @@ module type S = sig
       namespace (catalogue in the README's Observability section).
       Every engine reports something: at minimum its automaton size,
       plus whatever instrumentation it accumulates across {!run}s
-      (iMFAnt: active-set pressure; hybrid: cache behaviour; DFA:
-      table size). Snapshots feed the {!Mfsa_obs.Snapshot} exporters
+      (iMFAnt: prefilter skips; hybrid: cache behaviour). Snapshots feed the {!Mfsa_obs.Snapshot} exporters
       directly and merge with pipeline and serving metrics. *)
 
   val reset_stats : compiled -> unit
@@ -122,11 +119,7 @@ module type S = sig
 
       Feeding chunks [c1, …, cn] then {!finish} produces exactly
       [run c (c1 ^ … ^ cn)]: end positions are global stream offsets
-      and end-anchored FSAs report at {!finish}. Engines without
-      native cross-chunk state (the per-rule baselines) satisfy the
-      contract by re-scanning a buffered copy of the stream — correct,
-      but quadratic in stream length; use [imfant]/[hybrid] for real
-      streaming workloads. *)
+      and end-anchored FSAs report at {!finish}. *)
 
   type session
 

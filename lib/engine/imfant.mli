@@ -17,9 +17,10 @@
     over-matching of a naively merged automaton: a path is accepted
     only if at least one FSA stays active along all of it (Equation 9).
 
-    Matching conventions are those of {!Infant}: unanchored (per-FSA
-    [^]/[$] flags honoured), non-empty matches, one report per
-    (FSA, end position). *)
+    Matching conventions are those of
+    {!Mfsa_automata.Simulate.match_ends}: unanchored (per-FSA [^]/[$]
+    flags honoured), non-empty matches, one report per (FSA, end
+    position). *)
 
 type t
 (** Compiled MFSA: pre-processing of the extended-ANML-level automaton

@@ -14,25 +14,22 @@
       (paper §V), the default.
     - ["hybrid"] — {!Hybrid}, the lazy-DFA configuration cache over
       iMFAnt.
-    - ["dfa"] — {!Dfa_engine} per projected rule: scanning DFAs,
-      subset construction + Hopcroft.
-    - ["auto"] — the {!Planner} meta-engine: picks ["imfant"],
-      ["hybrid"] or ["dfa"] per ruleset from static compile-time
-      features (literal coverage, rule count, merged size), then
-      delegates; when the plan was ["hybrid"] it monitors the
-      windowed cache hit rate online and {!Hybrid.demote}s it to a
-      plain iMFAnt scan on sustained churn — sessions keep their
-      state across the demotion. Its stats are the inner engine's series
-      relabelled [engine="auto"] plus [mfsa_engine_planner_*].
+    - ["auto"] — the {!Planner} meta-engine: picks ["imfant"] or
+      ["hybrid"] per ruleset from static compile-time features
+      (whether iMFAnt's literal prefilter engages), then delegates; when
+      the plan was ["hybrid"] it monitors the windowed cache hit rate
+      online and {!Hybrid.demote}s it to a plain iMFAnt scan on
+      sustained churn — sessions keep their state across the
+      demotion. Its stats are the inner engine's series relabelled
+      [engine="auto"] plus [mfsa_engine_planner_*].
 
-    The per-rule ["dfa"] engine satisfies the streaming half of the
-    signature by re-scanning a buffered copy of the stream (documented
-    in {!Engine_sig.S}); its match semantics are identical.
+    Every registered engine streams natively: a session carries its
+    cross-chunk state, so feeding costs the chunk, not the stream.
 
-    The paper's other baselines — per-rule {!Infant}, {!Decomposed}
-    and {!Aho_corasick} — are plain modules, not registry engines: no
-    plan picks them, and the experiments that use them call them
-    directly.
+    The paper's baselines — per-rule iNFAnt, per-rule DFAs, the
+    decomposition matcher — live in the separate [mfsa.paper]
+    library, not in the registry: no plan picks them, and only the
+    experiments run them.
 
     Beyond the table, the registry resolves the {!Faulty} wrapper
     grammar: any name of the form [faulty{k=v,...}:<engine>] (the

@@ -1,3 +1,4 @@
+module Nfa = Mfsa_automata.Nfa
 module Charclass = Mfsa_charset.Charclass
 
 let check_eps_free a =

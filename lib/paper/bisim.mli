@@ -15,13 +15,13 @@
     pipeline path, so the Table I statistics stay comparable with the
     paper's. *)
 
-val reduce : Nfa.t -> Nfa.t
+val reduce : Mfsa_automata.Nfa.t -> Mfsa_automata.Nfa.t
 (** Quotient the automaton by the coarsest forward bisimulation.
     Requires an ε-free automaton; the result recognises exactly the
     same language, with [n_states] no larger than the input's.
     Duplicate transitions between merged states are fused.
     @raise Invalid_argument on ε-arcs. *)
 
-val n_blocks : Nfa.t -> int
+val n_blocks : Mfsa_automata.Nfa.t -> int
 (** Number of bisimulation classes (the size [reduce] would produce),
     without building the quotient. *)

@@ -1,4 +1,3 @@
-module Indel = Mfsa_util.Indel
 module Nfa = Mfsa_automata.Nfa
 module Merge = Mfsa_model.Merge
 

@@ -45,7 +45,7 @@ val accepts : t -> string -> bool
 
 val match_ends : t -> string -> int list
 (** Engine-convention unanchored matching (see
-    {!Simulate.match_ends}). *)
+    {!Mfsa_automata.Simulate.match_ends}). *)
 
 val max_default_chain : t -> int
 (** Longest chain of default arcs (the traversal-overhead bound). *)

@@ -2,6 +2,7 @@ module Nfa = Mfsa_automata.Nfa
 module Ast = Mfsa_frontend.Ast
 module Parser = Mfsa_frontend.Parser
 module Charclass = Mfsa_charset.Charclass
+module Aho_corasick = Mfsa_engine.Aho_corasick
 
 type match_event = { rule : int; end_pos : int }
 

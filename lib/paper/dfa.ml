@@ -1,3 +1,4 @@
+module Nfa = Mfsa_automata.Nfa
 module Charclass = Mfsa_charset.Charclass
 module Vec = Mfsa_util.Vec
 
@@ -29,75 +30,81 @@ let create ~n_states ~next ~start ~finals ?(anchored_start = false)
 
 let step t q c = t.next.((q * 256) + Char.code c)
 
-let determinize (a : Nfa.t) =
-  if not (Nfa.is_eps_free a) then
-    invalid_arg "Dfa.determinize: automaton must be ε-free";
-  (* Subset construction. NFA state sets are canonicalised as sorted
-     int lists; the table grows as new subsets are discovered. The
-     empty subset is the sink, always state 0 of the result. *)
+let state_budget = 16384
+
+type error = Over_budget
+
+let error_message Over_budget =
+  Printf.sprintf "over budget (more than %d DFA states)" state_budget
+
+exception Budget_exceeded
+
+(* Subsets hash on every element: [Hashtbl.hash] reads only a list's
+   first cells, which the subsets of one construction often share. *)
+module Subsets = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h q -> (h * 31) + q) 0
+end)
+
+let subset_construction (a : Nfa.t) =
+  (* NFA state sets are canonicalised as sorted int lists; each new
+     subset gets the next id and a worklist entry, so rows are built
+     in id order. The empty subset is the sink, always state 0 of the
+     result. Successors are computed once per byte class of the
+     NFA's labels, not once per byte. *)
   let out = Nfa.out a in
-  let index = Hashtbl.create 64 in
+  let labels =
+    Array.map
+      (fun tr -> match tr.Nfa.label with Nfa.Cls c -> c | Nfa.Eps -> assert false)
+      a.Nfa.transitions
+  in
+  let class_of, k = Charclass.partition (Array.to_list labels) in
+  let cls c = Char.code (Bytes.get class_of (Char.code c)) in
+  (* The byte classes each transition's label covers. *)
+  let covers =
+    Array.map
+      (fun l ->
+        List.sort_uniq Int.compare (Charclass.fold (fun c acc -> cls c :: acc) l []))
+      labels
+  in
+  let index = Subsets.create 64 in
   let subsets = Vec.create () in
+  let worklist = Queue.create () in
   let intern subset =
-    match Hashtbl.find_opt index subset with
+    match Subsets.find_opt index subset with
     | Some id -> id
     | None ->
         let id = Vec.length subsets in
-        Hashtbl.add index subset id;
+        if id >= state_budget then raise_notrace Budget_exceeded;
+        Subsets.add index subset id;
         Vec.push subsets subset;
+        Queue.add id worklist;
         id
   in
   let sink = intern [] in
   let start = intern [ a.Nfa.start ] in
   let rows = Vec.create () in
-  Vec.push rows (Array.make 256 sink) (* sink loops to itself *);
-  let worklist = Queue.create () in
-  Queue.add start worklist;
-  Vec.push rows (Array.make 256 sink);
-  let processed = Hashtbl.create 64 in
-  Hashtbl.add processed sink ();
   while not (Queue.is_empty worklist) do
-    let id = Queue.pop worklist in
-    if not (Hashtbl.mem processed id) then begin
-      Hashtbl.add processed id ();
-      let subset = Vec.get subsets id in
-      (* successor sets per byte, accumulated as sorted unique lists *)
-      let succ = Array.make 256 [] in
-      List.iter
-        (fun q ->
-          Array.iter
-            (fun ti ->
-              let tr = a.Nfa.transitions.(ti) in
-              match tr.Nfa.label with
-              | Nfa.Eps -> assert false
-              | Nfa.Cls cls ->
-                  Charclass.iter
-                    (fun c ->
-                      let i = Char.code c in
-                      succ.(i) <- tr.Nfa.dst :: succ.(i))
-                    cls)
-            out.(q))
-        subset;
-      let row = Vec.get rows id in
-      Array.iteri
-        (fun i dsts ->
-          let target = List.sort_uniq Int.compare dsts in
-          let tid = intern target in
-          (* New subsets need a row and a worklist entry. *)
-          if tid = Vec.length rows then begin
-            Vec.push rows (Array.make 256 sink);
-            Queue.add tid worklist
-          end
-          else if tid > Vec.length rows then assert false
-          else if not (Hashtbl.mem processed tid) then Queue.add tid worklist;
-          row.(i) <- tid)
-        succ
-    end
+    let succ = Array.make k [] in
+    List.iter
+      (fun q ->
+        Array.iter
+          (fun ti ->
+            let dst = a.Nfa.transitions.(ti).Nfa.dst in
+            List.iter (fun c -> succ.(c) <- dst :: succ.(c)) covers.(ti))
+          out.(q))
+      (Vec.get subsets (Queue.pop worklist));
+    Vec.push rows (Array.map (fun dsts -> intern (List.sort_uniq Int.compare dsts)) succ)
   done;
   let n = Vec.length subsets in
   let next = Array.make (n * 256) sink in
   Vec.iteri
-    (fun id row -> Array.blit row 0 next (id * 256) 256)
+    (fun id row ->
+      for c = 0 to 255 do
+        next.((id * 256) + c) <- row.(Char.code (Bytes.get class_of c))
+      done)
     rows;
   let finals = Array.make n false in
   Vec.iteri
@@ -105,6 +112,13 @@ let determinize (a : Nfa.t) =
     subsets;
   create ~n_states:n ~next ~start ~finals ~anchored_start:a.Nfa.anchored_start
     ~anchored_end:a.Nfa.anchored_end ~pattern:a.Nfa.pattern ()
+
+let determinize a =
+  if not (Nfa.is_eps_free a) then
+    invalid_arg "Dfa.determinize: automaton must be ε-free";
+  match subset_construction a with
+  | t -> Ok t
+  | exception Budget_exceeded -> Error Over_budget
 
 let reachable t =
   let seen = Array.make t.n_states false in
@@ -125,6 +139,22 @@ let reachable t =
 
 let n_reachable t =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 (reachable t)
+
+let byte_classes t =
+  (* Two bytes are equivalent iff their δ-columns coincide. Hash the
+     columns to assign class ids. *)
+  let table = Hashtbl.create 64 in
+  let class_of = Array.make 256 0 in
+  for c = 0 to 255 do
+    let column = Array.init t.n_states (fun q -> t.next.((q * 256) + c)) in
+    match Hashtbl.find_opt table column with
+    | Some id -> class_of.(c) <- id
+    | None ->
+        let id = Hashtbl.length table in
+        Hashtbl.add table column id;
+        class_of.(c) <- id
+  done;
+  (class_of, Hashtbl.length table)
 
 (* Hopcroft's partition-refinement minimisation, restricted to the
    reachable sub-automaton. *)
@@ -153,9 +183,14 @@ let minimize t =
   done;
   let start = renum.(t.start) in
   (* Partition refinement: block id per state; split blocks by
-     (successor block per byte) signatures until stable. Simpler than
-     textbook Hopcroft's worklist but O(n^2 * 256) worst case, which
-     is fine at this library's automaton sizes. *)
+     (successor block per byte class) signatures until stable.
+     Simpler than textbook Hopcroft's worklist but O(n^2 * classes)
+     worst case, which is fine at this library's automaton sizes. *)
+  let class_of, k = byte_classes t in
+  let repr = Array.make k 0 in
+  for c = 255 downto 0 do
+    repr.(class_of.(c)) <- c
+  done;
   let block = Array.make n 0 in
   for q = 0 to n - 1 do
     block.(q) <- (if finals.(q) then 1 else 0)
@@ -173,7 +208,7 @@ let minimize t =
     for q = 0 to n - 1 do
       let sig_q =
         ( block.(q),
-          Array.init 256 (fun c -> block.(next.((q * 256) + c))) )
+          Array.init k (fun i -> block.(next.((q * 256) + repr.(i)))) )
       in
       let id =
         match Hashtbl.find_opt signature sig_q with

@@ -41,10 +41,27 @@ val create :
 val step : t -> int -> char -> int
 (** [step dfa q c] is δ(q, c). *)
 
-val determinize : Nfa.t -> t
-(** Subset construction. The input must be ε-free
-    ({!Epsilon.remove} first); anchoring flags and pattern carry over.
+val state_budget : int
+(** The most states {!determinize} builds before giving up: above the
+    largest per-rule minimised DFA of the paper-scale datasets, far
+    below what an exponential blow-up such as [.*a.{20}] reaches. *)
+
+type error = Over_budget  (** Subset construction passed {!state_budget}. *)
+
+val error_message : error -> string
+
+val determinize : Mfsa_automata.Nfa.t -> (t, error) result
+(** Subset construction, stopped with [Error Over_budget] once it
+    discovers more than {!state_budget} states. The input must be
+    ε-free ({!Mfsa_automata.Epsilon.remove} first); anchoring flags
+    and pattern carry over.
     @raise Invalid_argument on ε-arcs. *)
+
+val byte_classes : t -> int array * int
+(** [(class_of, k)]: bytes [c] and [c'] share a class iff
+    δ(q, c) = δ(q, c') for every state q — the alphabet reduction the
+    minimiser, the 2-stride table and the scanning engine fold their
+    rows over. *)
 
 val minimize : t -> t
 (** Hopcroft's algorithm. The result is the unique (up to
@@ -56,12 +73,12 @@ val accepts : t -> string -> bool
 
 val match_ends : t -> string -> int list
 (** Unanchored match end positions under the engine conventions of
-    {!Simulate.match_ends} (non-empty matches, one report per end
+    {!Mfsa_automata.Simulate.match_ends} (non-empty matches, one report per end
     position, anchor flags honoured). *)
 
 val n_reachable : t -> int
 (** Number of states reachable from the start. *)
 
-val to_nfa : t -> Nfa.t
+val to_nfa : t -> Mfsa_automata.Nfa.t
 (** View as an NFA with class-labelled transitions (dead arcs to an
     unreachable sink are dropped). Useful to reuse NFA tooling. *)

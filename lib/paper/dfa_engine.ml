@@ -1,6 +1,4 @@
 module Nfa = Mfsa_automata.Nfa
-module Dfa = Mfsa_automata.Dfa
-module Stride = Mfsa_automata.Stride
 module Charclass = Mfsa_charset.Charclass
 
 type t = {
@@ -9,7 +7,7 @@ type t = {
   class_of : bytes;
   (* Row-major class-indexed table: [next.(q * k + cls)] = δ(q, c)
      for any byte c of class cls — the dense 256-way table folded
-     over {!Stride.byte_classes}' equivalence. *)
+     over {!Dfa.byte_classes}' equivalence. *)
   next : int array;
   start : int;
   finals : bool array;
@@ -38,13 +36,10 @@ let augment (a : Nfa.t) =
       ~pattern:a.Nfa.pattern ()
   end
 
-let compile ?(minimize = true) a =
-  if not (Nfa.is_eps_free a) then
-    invalid_arg "Dfa_engine.compile: automaton must be ε-free";
-  let dfa = Dfa.determinize (augment a) in
-  let dfa = if minimize then Dfa.minimize dfa else dfa in
+(* The class-folded scanning table of a determinised (augmented) rule. *)
+let of_dfa (dfa : Dfa.t) =
   let n = dfa.Dfa.n_states in
-  let cls, k = Stride.byte_classes dfa in
+  let cls, k = Dfa.byte_classes dfa in
   let class_of = Bytes.init 256 (fun c -> Char.chr cls.(c)) in
   (* One representative byte per class fills the folded table. *)
   let repr = Array.make k 0 in
@@ -64,8 +59,15 @@ let compile ?(minimize = true) a =
     next;
     start = dfa.Dfa.start;
     finals = Array.copy dfa.Dfa.finals;
-    anchored_end = a.Nfa.anchored_end;
+    anchored_end = dfa.Dfa.anchored_end;
   }
+
+let compile ?(minimize = true) a =
+  if not (Nfa.is_eps_free a) then
+    invalid_arg "Dfa_engine.compile: automaton must be ε-free";
+  Result.map
+    (fun dfa -> of_dfa (if minimize then Dfa.minimize dfa else dfa))
+    (Dfa.determinize (augment a))
 
 let execute t input ~on_match =
   let len = String.length input in

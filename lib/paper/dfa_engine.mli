@@ -13,16 +13,18 @@
     this.
 
     The transition table is stored class-indexed: the DFA's byte
-    equivalence classes ({!Mfsa_automata.Stride.byte_classes}) fold
+    equivalence classes ({!Dfa.byte_classes}) fold
     the 256-way rows down to one cell per class, shrinking the table
     by the alphabet-reduction factor while keeping the one-lookup
     step (a 256-entry byte → class map is consulted first). *)
 
 type t
 
-val compile : ?minimize:bool -> Mfsa_automata.Nfa.t -> t
+val compile : ?minimize:bool -> Mfsa_automata.Nfa.t -> (t, Dfa.error) result
 (** Build the scanning DFA ([minimize] defaults to [true], running
-    Hopcroft on the augmented automaton). The input must be ε-free.
+    Hopcroft on the augmented automaton); [Error Over_budget] when
+    subset construction passes {!Dfa.state_budget}. The input must
+    be ε-free.
     @raise Invalid_argument on ε-arcs. *)
 
 val run : t -> string -> int list

@@ -1,13 +1,13 @@
+module Report = Mfsa_core.Report
+module Pipeline = Mfsa_core.Pipeline
 module Datasets = Mfsa_datasets.Datasets
 module Stream_gen = Mfsa_datasets.Stream_gen
-module Indel = Mfsa_util.Indel
 module Nfa = Mfsa_automata.Nfa
 module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
 module Imfant = Mfsa_engine.Imfant
 module Engine_sig = Mfsa_engine.Engine_sig
 module Registry = Mfsa_engine.Registry
-module Schedule = Mfsa_engine.Schedule
 
 type config = {
   scale : float;
@@ -457,7 +457,7 @@ let ablation_ccsplit cfg =
         let plain = Report.mfsa_totals (Merge.merge_groups ~m:0 fsas) in
         let split =
           Report.mfsa_totals
-            (Merge.merge_groups ~m:0 (Mfsa_model.Ccsplit.split fsas))
+            (Merge.merge_groups ~m:0 (Ccsplit.split fsas))
         in
         let pcs, pct = Report.compression ~before ~after:plain in
         let scs, sct = Report.compression ~before ~after:split in
@@ -540,39 +540,38 @@ let baselines cfg =
         let z =
           match Merge.merge_groups ~m:0 fsas with [ z ] -> z | _ -> assert false
         in
-        let dfas = Array.map (fun a -> Mfsa_automata.Dfa.determinize a) fsas in
-        let dfas = Array.map Mfsa_automata.Dfa.minimize dfas in
-        let dfa_states =
-          Array.fold_left (fun acc d -> acc + d.Mfsa_automata.Dfa.n_states) 0 dfas
+        (* Per-rule DFA cells read "over budget" when any rule's
+           subset construction passes [Dfa.state_budget]. *)
+        let per_rule f =
+          let rs = Array.map f fsas in
+          if Array.for_all Result.is_ok rs then Some (Array.map Result.get_ok rs)
+          else None
         in
-        let d2fa_trans =
-          Array.fold_left
-            (fun acc d ->
-              acc
-              + Mfsa_automata.D2fa.n_stored_transitions
-                  (Mfsa_automata.D2fa.compress d))
-            0 dfas
+        let cell f = function Some x -> f x | None -> "over budget" in
+        let sum f = Array.fold_left (fun acc x -> acc + f x) 0 in
+        let dfas =
+          per_rule (fun a -> Result.map Dfa.minimize (Dfa.determinize a))
         in
         (* Single-thread execution over the stream. *)
         let imfant = Imfant.compile z in
         let t_imfant = time_runs cfg.reps (fun () -> ignore (Imfant.count imfant stream)) in
-        let scan_engines =
-          Array.map (fun a -> Mfsa_engine.Dfa_engine.compile a) fsas
-        in
-        let t_dfa =
-          time_runs cfg.reps (fun () ->
-              Array.iter
-                (fun e -> ignore (Mfsa_engine.Dfa_engine.count e stream))
-                scan_engines)
+        let t_dfa engines =
+          Report.fmt_time
+            (time_runs cfg.reps (fun () ->
+                 Array.iter (fun e -> ignore (Dfa_engine.count e stream)) engines))
         in
         [
           ds.Datasets.abbr;
           string_of_int nfa_states;
           string_of_int z.Mfsa_model.Mfsa.n_states;
-          string_of_int dfa_states;
-          string_of_int d2fa_trans;
+          cell (fun d -> string_of_int (sum (fun d -> d.Dfa.n_states) d)) dfas;
+          cell
+            (fun d ->
+              string_of_int
+                (sum (fun d -> D2fa.n_stored_transitions (D2fa.compress d)) d))
+            dfas;
           Report.fmt_time t_imfant;
-          Report.fmt_time t_dfa;
+          cell t_dfa (per_rule Dfa_engine.compile);
         ])
       (contexts cfg)
   in
@@ -589,24 +588,24 @@ let baselines cfg =
   let dec_rows =
     List.map
       (fun { ds; fsas; stream } ->
-        let t = Mfsa_engine.Decomposed.compile fsas in
+        let t = Decomposed.compile fsas in
         let z =
           match Merge.merge_groups ~m:0 fsas with [ z ] -> z | _ -> assert false
         in
         let imfant = Imfant.compile z in
         let n_im = Imfant.count imfant stream in
-        let n_dec = Mfsa_engine.Decomposed.count t stream in
+        let n_dec = Decomposed.count t stream in
         let t_dec =
           time_runs cfg.reps (fun () ->
-              ignore (Mfsa_engine.Decomposed.count t stream))
+              ignore (Decomposed.count t stream))
         in
         let t_im =
           time_runs cfg.reps (fun () -> ignore (Imfant.count imfant stream))
         in
         [
           ds.Datasets.abbr;
-          string_of_int (Mfsa_engine.Decomposed.n_prefiltered t);
-          string_of_int (Mfsa_engine.Decomposed.n_fallback t);
+          string_of_int (Decomposed.n_prefiltered t);
+          string_of_int (Decomposed.n_fallback t);
           string_of_int n_dec;
           (if n_dec = n_im then "yes" else "NO");
           Report.fmt_time t_dec;
@@ -685,23 +684,25 @@ let baselines cfg =
   let stride_rows =
     List.map
       (fun { ds; fsas; stream } ->
-        let d = Mfsa_automata.Dfa.minimize (Mfsa_automata.Dfa.determinize fsas.(0)) in
-        let s2 = Mfsa_automata.Stride.build d in
-        let t1 =
-          time_runs cfg.reps (fun () -> ignore (Mfsa_automata.Dfa.accepts d stream))
-        in
-        let t2 =
-          time_runs cfg.reps (fun () ->
-              ignore (Mfsa_automata.Stride.accepts s2 stream))
-        in
-        [
-          ds.Datasets.abbr;
-          string_of_int d.Mfsa_automata.Dfa.n_states;
-          string_of_int s2.Mfsa_automata.Stride.n_classes;
-          Report.fmt_time t1;
-          Report.fmt_time t2;
-          Printf.sprintf "%.2fx" (t1 /. t2);
-        ])
+        match Dfa.determinize fsas.(0) with
+        | Error _ -> ds.Datasets.abbr :: List.init 5 (fun _ -> "over budget")
+        | Ok d ->
+            let d = Dfa.minimize d in
+            let s2 = Stride.build d in
+            let t1 =
+              time_runs cfg.reps (fun () -> ignore (Dfa.accepts d stream))
+            in
+            let t2 =
+              time_runs cfg.reps (fun () -> ignore (Stride.accepts s2 stream))
+            in
+            [
+              ds.Datasets.abbr;
+              string_of_int d.Dfa.n_states;
+              string_of_int s2.Stride.n_classes;
+              Report.fmt_time t1;
+              Report.fmt_time t2;
+              Printf.sprintf "%.2fx" (t1 /. t2);
+            ])
       (contexts cfg)
   in
   Buffer.add_string buf
@@ -716,7 +717,7 @@ let ablation_bisim cfg =
   let rows =
     List.map
       (fun { ds; fsas; stream } ->
-        let reduced = Array.map Mfsa_automata.Bisim.reduce fsas in
+        let reduced = Array.map Bisim.reduce fsas in
         let before = Report.fsa_totals fsas in
         let before_reduced = Report.fsa_totals reduced in
         let measure fsas =
@@ -943,7 +944,7 @@ type churn_row = {
   cr_agree : bool;
 }
 
-let planner_engines = [ "imfant"; "hybrid"; "dfa"; "auto" ]
+let planner_engines = [ "imfant"; "hybrid"; "auto" ]
 
 (* The static feature vector the planner sees per dataset, with its
    decision — what the thresholds in {!Mfsa_engine.Planner} were

@@ -60,7 +60,7 @@ val fig10 : config -> string
 val ablation_ccsplit : config -> string
 (** Ablation of the paper's §VI-A future-work optimisation: state and
     transition compression at M=all with and without the partial
-    character-class merging pre-pass ({!Mfsa_model.Ccsplit}). *)
+    character-class merging pre-pass ({!Ccsplit}). *)
 
 val ablation_cluster : config -> string
 (** Ablation of the paper's §VIII clustering direction: compression
@@ -77,7 +77,7 @@ val baselines : config -> string
 
 val ablation_bisim : config -> string
 (** Ablation of an optional pre-merging pass not in the paper:
-    bisimulation-based NFA state reduction ({!Mfsa_automata.Bisim})
+    bisimulation-based NFA state reduction ({!Bisim})
     applied to every rule before Algorithm 1 — per-rule size
     reduction, and compression/execution at M=all with and without
     it. *)
@@ -117,7 +117,7 @@ type planner_row = {
   pl_dataset : string;  (** Dataset abbreviation. *)
   pl_engine : string;
       (** ["auto"] or one of the concrete engines it plans between
-          (["imfant"], ["hybrid"], ["dfa"]). *)
+          (["imfant"], ["hybrid"]). *)
   pl_planned : string option;
       (** Auto rows: the engine the static features selected. [None]
           on concrete rows. *)

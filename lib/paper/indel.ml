@@ -1,3 +1,5 @@
+module Prng = Mfsa_util.Prng
+
 let lcs a b =
   let la = String.length a and lb = String.length b in
   if la = 0 || lb = 0 then 0

@@ -12,26 +12,8 @@ type t = {
   pattern : string;
 }
 
-let byte_classes (d : Dfa.t) =
-  (* Two bytes are equivalent iff their δ-columns coincide. Hash the
-     columns to assign class ids. *)
-  let table = Hashtbl.create 64 in
-  let class_of = Array.make 256 0 in
-  let n_classes = ref 0 in
-  for c = 0 to 255 do
-    let column = Array.init d.Dfa.n_states (fun q -> d.Dfa.next.((q * 256) + c)) in
-    match Hashtbl.find_opt table column with
-    | Some id -> class_of.(c) <- id
-    | None ->
-        let id = !n_classes in
-        incr n_classes;
-        Hashtbl.add table column id;
-        class_of.(c) <- id
-  done;
-  (class_of, !n_classes)
-
 let build (d : Dfa.t) =
-  let class_of, k = byte_classes d in
+  let class_of, k = Dfa.byte_classes d in
   (* One representative byte per class. *)
   let repr = Array.make k 0 in
   for c = 255 downto 0 do

@@ -30,12 +30,9 @@ type t = private {
   pattern : string;
 }
 
-val byte_classes : Dfa.t -> int array * int
-(** [(class_of, n_classes)]: the coarsest byte partition such that
-    equivalent bytes act identically on every state. *)
-
 val build : Dfa.t -> t
-(** Stride-2 construction over the reduced alphabet. *)
+(** Stride-2 construction over the reduced alphabet
+    ({!Dfa.byte_classes}). *)
 
 val accepts : t -> string -> bool
 (** Whole-string acceptance; agrees with the source DFA. *)

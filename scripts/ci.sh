@@ -10,6 +10,15 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
+echo "== runtime / paper boundary =="
+# The paper's baselines and experiments (lib/paper, mfsa_paper) sit
+# above the runtime: no other library under lib/ may depend on them.
+leaks=$(grep -l 'mfsa_paper\|mfsa\.paper' lib/*/dune | grep -v '^lib/paper/dune$' || true)
+if [ -n "$leaks" ]; then
+  echo "ci: runtime libraries depend on mfsa_paper: $leaks" >&2
+  exit 1
+fi
+
 echo "== dune runtest =="
 dune runtest
 

@@ -186,7 +186,7 @@ let test_capability_gate () =
             (engine ^ " error names the fix")
             true
             (contains msg "recompile from rules"))
-    [ "imfant"; "hybrid"; "dfa"; "auto" ]
+    [ "imfant"; "hybrid"; "auto"; "faulty{seed=1}:imfant" ]
 
 (* ---------------------------------------------------------- fixture *)
 

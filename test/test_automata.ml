@@ -429,7 +429,7 @@ let prop_simplify_preserves_language =
 
 (* ----------------------------------------------------------- Bisim *)
 
-module Bisim = Mfsa_automata.Bisim
+module Bisim = Mfsa_paper.Bisim
 
 let test_bisim_merges_parallel_tails () =
   (* ab|cb has two bisimilar b-tail states after eps-removal. *)

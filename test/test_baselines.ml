@@ -3,8 +3,8 @@
    merging (Ccsplit) and similarity clustering (Cluster). *)
 
 module AC = Mfsa_engine.Aho_corasick
-module Ccsplit = Mfsa_model.Ccsplit
-module Cluster = Mfsa_core.Cluster
+module Ccsplit = Mfsa_paper.Ccsplit
+module Cluster = Mfsa_paper.Cluster
 module Merge = Mfsa_model.Merge
 module Mfsa = Mfsa_model.Mfsa
 module Im = Mfsa_engine.Imfant
@@ -110,8 +110,8 @@ let prop_ac_equals_simulator =
 
 (* ------------------------------------------------------ Decomposed *)
 
-module D = Mfsa_engine.Decomposed
-module In = Mfsa_engine.Infant
+module D = Mfsa_paper.Decomposed
+module In = Mfsa_paper.Infant
 module Ast = Mfsa_frontend.Ast
 
 let test_literal_prefix () =

@@ -7,8 +7,8 @@
 
 module Sim = Mfsa_automata.Simulate
 module P = Mfsa_frontend.Parser
-module In = Mfsa_engine.Infant
-module De = Mfsa_engine.Dfa_engine
+module In = Mfsa_paper.Infant
+module De = Mfsa_paper.Dfa_engine
 module Im = Mfsa_engine.Imfant
 module Mfsa = Mfsa_model.Mfsa
 
@@ -138,14 +138,14 @@ let runners =
   [
     ("simulator", fun a input -> Sim.match_ends a input);
     ("infant", fun a input -> In.run (In.compile a) input);
-    ("dfa-engine", fun a input -> De.run (De.compile a) input);
+    ("dfa-engine", fun a input -> De.run (Result.get_ok (De.compile a)) input);
     ( "imfant",
       fun a input ->
         Im.run (Im.compile (Mfsa.of_fsa a)) input
         |> List.map (fun e -> e.Im.end_pos) );
     ( "decomposed",
       fun a input ->
-        let module D = Mfsa_engine.Decomposed in
+        let module D = Mfsa_paper.Decomposed in
         D.run (D.compile [| a |]) input |> List.map (fun e -> e.D.end_pos) );
   ]
 

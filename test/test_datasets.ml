@@ -6,7 +6,7 @@ module SG = Mfsa_datasets.Stream_gen
 module RG = Mfsa_datasets.Rulegen
 module P = Mfsa_frontend.Parser
 module Prng = Mfsa_util.Prng
-module Indel = Mfsa_util.Indel
+module Indel = Mfsa_paper.Indel
 
 let check = Alcotest.check
 

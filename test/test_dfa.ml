@@ -3,13 +3,13 @@
    compression, 2-stride tables and the scanning DFA engine. *)
 
 module Nfa = Mfsa_automata.Nfa
-module Dfa = Mfsa_automata.Dfa
-module D2fa = Mfsa_automata.D2fa
-module Stride = Mfsa_automata.Stride
+module Dfa = Mfsa_paper.Dfa
+module D2fa = Mfsa_paper.D2fa
+module Stride = Mfsa_paper.Stride
 module Sim = Mfsa_automata.Simulate
 module P = Mfsa_frontend.Parser
-module De = Mfsa_engine.Dfa_engine
-module In = Mfsa_engine.Infant
+module De = Mfsa_paper.Dfa_engine
+module In = Mfsa_paper.Infant
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -23,7 +23,15 @@ let fsa_of_rule rule =
 
 let fsa_of src = fsa_of_rule (P.parse_exn src)
 
-let dfa_of src = Dfa.determinize (fsa_of src)
+(* The budgeted constructions on inputs far inside the budget: an
+   [Over_budget] here is a test failure. *)
+let get = function Ok x -> x | Error e -> Alcotest.fail (Dfa.error_message e)
+
+let determinize a = get (Dfa.determinize a)
+
+let de_compile ?minimize a = get (De.compile ?minimize a)
+
+let dfa_of src = determinize (fsa_of src)
 
 let words = [ ""; "a"; "b"; "ab"; "ba"; "abc"; "abd"; "aab"; "abab"; "cab"; "aaab" ]
 
@@ -33,7 +41,7 @@ let test_determinize_agrees () =
   List.iter
     (fun re ->
       let nfa = fsa_of re in
-      let dfa = Dfa.determinize nfa in
+      let dfa = determinize nfa in
       List.iter
         (fun w ->
           check Alcotest.bool
@@ -121,7 +129,7 @@ let test_minimize_empty_language () =
       ~transitions:[ { Nfa.src = 0; label = Nfa.label_sym 'a'; dst = 1 } ]
       ~start:0 ~finals:[] ~pattern:"" ()
   in
-  let m = Dfa.minimize (Dfa.determinize a) in
+  let m = Dfa.minimize (determinize a) in
   check Alcotest.int "one sink state" 1 m.Dfa.n_states;
   check Alcotest.bool "rejects" false (Dfa.accepts m "a")
 
@@ -132,7 +140,7 @@ let prop_minimize_preserves_language =
        QCheck2.Gen.(map2 (fun r i -> ([ r ], i)) Gen_re.rule Gen_re.input)
        (fun (rules, input) ->
          let nfa = fsa_of_rule (List.hd rules) in
-         let d = Dfa.determinize nfa in
+         let d = determinize nfa in
          let m = Dfa.minimize d in
          Dfa.accepts d input = Dfa.accepts m input
          && m.Dfa.n_states <= d.Dfa.n_states))
@@ -144,7 +152,7 @@ let prop_determinize_equals_nfa =
        QCheck2.Gen.(map2 (fun r i -> ([ r ], i)) Gen_re.rule Gen_re.input)
        (fun (rules, input) ->
          let nfa = fsa_of_rule (List.hd rules) in
-         Dfa.accepts (Dfa.determinize nfa) input = Sim.accepts nfa input))
+         Dfa.accepts (determinize nfa) input = Sim.accepts nfa input))
 
 (* ------------------------------------------------------------ D2FA *)
 
@@ -187,7 +195,7 @@ let prop_d2fa_equals_dfa =
        ~print:Gen_re.print_ruleset_input
        QCheck2.Gen.(map2 (fun r i -> ([ r ], i)) Gen_re.rule Gen_re.input)
        (fun (rules, input) ->
-         let d = Dfa.minimize (Dfa.determinize (fsa_of_rule (List.hd rules))) in
+         let d = Dfa.minimize (determinize (fsa_of_rule (List.hd rules))) in
          let c = D2fa.compress d in
          Dfa.accepts d input = D2fa.accepts c input
          && D2fa.n_stored_transitions c <= d.Dfa.n_states * 256))
@@ -196,7 +204,7 @@ let prop_d2fa_equals_dfa =
 
 let test_stride_byte_classes () =
   let d = dfa_of "[ab]c" in
-  let class_of, k = Stride.byte_classes d in
+  let class_of, k = Dfa.byte_classes d in
   check Alcotest.bool "few classes" true (k <= 4);
   check Alcotest.int "a and b equivalent" class_of.(Char.code 'a')
     class_of.(Char.code 'b');
@@ -245,10 +253,42 @@ let prop_stride_equals_dfa =
        (fun (rules, input) ->
          let rule = List.hd rules in
          let rule = { rule with Mfsa_frontend.Ast.anchored_start = false; anchored_end = false } in
-         let d = Dfa.determinize (fsa_of_rule rule) in
+         let d = determinize (fsa_of_rule rule) in
          let s = Stride.build d in
          Stride.accepts s input = Dfa.accepts d input
          && Stride.match_ends s input = Dfa.match_ends d input))
+
+(* ---------------------------------------------------------- Budget *)
+
+(* [.*a.{20}] needs 2^21 subsets: both constructions give up at the
+   state budget, quickly, with the typed error. *)
+let test_budget_stops_blowup () =
+  let a = fsa_of ".*a.{20}" in
+  let t0 = Unix.gettimeofday () in
+  (match Dfa.determinize a with
+  | Error Dfa.Over_budget -> ()
+  | Ok d -> Alcotest.failf "determinized to %d states" d.Dfa.n_states);
+  (match De.compile a with
+  | Error Dfa.Over_budget -> ()
+  | Ok _ -> Alcotest.fail "the scanning DFA compiled");
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool (Printf.sprintf "both errors in %.3f s < 1 s" dt) true
+    (dt < 1.0)
+
+(* An anchored [a]-chain of [n] arcs determinizes to [n + 2] states
+   (the chain and the sink): the budget's size fits, one more does
+   not. *)
+let test_budget_boundary () =
+  let chain n =
+    Nfa.create ~n_states:(n + 1)
+      ~transitions:
+        (List.init n (fun i -> { Nfa.src = i; label = Nfa.label_sym 'a'; dst = i + 1 }))
+      ~start:0 ~finals:[ n ] ~anchored_start:true ~pattern:"" ()
+  in
+  check Alcotest.int "chain + sink" Dfa.state_budget
+    (determinize (chain (Dfa.state_budget - 2))).Dfa.n_states;
+  check Alcotest.bool "one state more is over budget" true
+    (Dfa.determinize (chain (Dfa.state_budget - 1)) = Error Dfa.Over_budget)
 
 (* ------------------------------------------------------ Dfa_engine *)
 
@@ -256,7 +296,7 @@ let test_engine_agrees_with_infant () =
   List.iter
     (fun (re, inputs) ->
       let nfa = fsa_of re in
-      let de = De.compile nfa in
+      let de = de_compile nfa in
       let infant = In.compile nfa in
       List.iter
         (fun w ->
@@ -273,18 +313,18 @@ let test_engine_agrees_with_infant () =
     ]
 
 let test_engine_anchors () =
-  let de = De.compile (fsa_of "^ab") in
+  let de = de_compile (fsa_of "^ab") in
   check Alcotest.(list int) "start anchor" [ 2 ] (De.run de "abab");
-  let de = De.compile (fsa_of "ab$") in
+  let de = de_compile (fsa_of "ab$") in
   check Alcotest.(list int) "end anchor" [ 4 ] (De.run de "abab")
 
 let test_engine_count_and_size () =
-  let de = De.compile (fsa_of "ab") in
+  let de = de_compile (fsa_of "ab") in
   check Alcotest.int "count" 2 (De.count de "abab");
   check Alcotest.bool "has states" true (De.n_states de > 0);
-  let unmin = De.compile ~minimize:false (fsa_of "(a|b)(a|b)") in
+  let unmin = de_compile ~minimize:false (fsa_of "(a|b)(a|b)") in
   check Alcotest.bool "minimize shrinks or equals" true
-    (De.n_states (De.compile (fsa_of "(a|b)(a|b)")) <= De.n_states unmin)
+    (De.n_states (de_compile (fsa_of "(a|b)(a|b)")) <= De.n_states unmin)
 
 let prop_engine_equals_infant =
   qtest
@@ -293,7 +333,7 @@ let prop_engine_equals_infant =
        QCheck2.Gen.(map2 (fun r i -> ([ r ], i)) Gen_re.rule Gen_re.input)
        (fun (rules, input) ->
          let nfa = fsa_of_rule (List.hd rules) in
-         De.run (De.compile nfa) input = In.run (In.compile nfa) input))
+         De.run (de_compile nfa) input = In.run (In.compile nfa) input))
 
 let () =
   Alcotest.run "dfa"
@@ -303,6 +343,8 @@ let () =
           Alcotest.test_case "agrees with NFA" `Quick test_determinize_agrees;
           Alcotest.test_case "total and in-range" `Quick test_determinize_is_deterministic;
           Alcotest.test_case "rejects eps" `Quick test_determinize_rejects_eps;
+          Alcotest.test_case "budget stops a blow-up" `Quick test_budget_stops_blowup;
+          Alcotest.test_case "budget boundary" `Quick test_budget_boundary;
           Alcotest.test_case "match ends" `Quick test_dfa_match_ends;
           Alcotest.test_case "create validates" `Quick test_dfa_create_validates;
           Alcotest.test_case "to_nfa roundtrip" `Quick test_to_nfa_roundtrip;

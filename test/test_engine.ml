@@ -6,11 +6,11 @@ module Sim = Mfsa_automata.Simulate
 module P = Mfsa_frontend.Parser
 module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
-module In = Mfsa_engine.Infant
+module In = Mfsa_paper.Infant
 module Im = Mfsa_engine.Imfant
 module Hy = Mfsa_engine.Hybrid
 module Pool = Mfsa_engine.Pool
-module Schedule = Mfsa_engine.Schedule
+module Schedule = Mfsa_paper.Schedule
 
 let check = Alcotest.check
 

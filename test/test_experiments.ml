@@ -3,7 +3,7 @@
    promises. These keep the benchmark harness from rotting between
    full runs. *)
 
-module E = Mfsa_core.Experiments
+module E = Mfsa_paper.Experiments
 
 let check = Alcotest.check
 

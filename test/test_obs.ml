@@ -149,15 +149,15 @@ let test_json_shape () =
   let json =
     S.to_json
       [
-        S.gauge_i ~labels:[ ("engine", "dfa") ] "mfsa_engine_rules" 7;
+        S.gauge_i ~labels:[ ("engine", "imfant") ] "mfsa_engine_states" 7;
         S.histogram "mfsa_h_seconds" ~bounds:[| 1.0 |] ~counts:[| 1; 0 |]
           ~sum:0.5;
       ]
   in
   check Alcotest.string "json"
     "[\n\
-    \  {\"name\": \"mfsa_engine_rules\", \"type\": \"gauge\", \"labels\": \
-     {\"engine\": \"dfa\"}, \"value\": 7},\n\
+    \  {\"name\": \"mfsa_engine_states\", \"type\": \"gauge\", \"labels\": \
+     {\"engine\": \"imfant\"}, \"value\": 7},\n\
     \  {\"name\": \"mfsa_h_seconds\", \"type\": \"histogram\", \"labels\": \
      {}, \"count\": 1, \"sum\": 0.500000, \"buckets\": [{\"le\": \"1\", \
      \"count\": 1}, {\"le\": \"+Inf\", \"count\": 0}]}\n\

@@ -14,7 +14,7 @@ module Loops = Mfsa_automata.Loops
 module Multiplicity = Mfsa_automata.Multiplicity
 module Mfsa = Mfsa_model.Mfsa
 module Merge = Mfsa_model.Merge
-module In = Mfsa_engine.Infant
+module In = Mfsa_paper.Infant
 module Im = Mfsa_engine.Imfant
 module Hy = Mfsa_engine.Hybrid
 module Anml = Mfsa_anml.Anml

@@ -1,6 +1,6 @@
 (* Tests for the first-class engine API: registry surface, cross-engine
-   agreement through Engine_sig, stats, and the streaming contract —
-   including the buffered re-scan sessions of the per-rule dfa engine. *)
+   agreement through Engine_sig, stats, and the streaming contract of
+   every registered engine's native sessions. *)
 
 module P = Mfsa_frontend.Parser
 module Mfsa = Mfsa_model.Mfsa
@@ -29,7 +29,7 @@ let events l =
   List.sort compare
     (List.map (fun e -> (e.Engine_sig.fsa, e.Engine_sig.end_pos)) l)
 
-let builtins = [ "imfant"; "hybrid"; "dfa"; "auto" ]
+let builtins = [ "imfant"; "hybrid"; "auto" ]
 
 let contains haystack needle =
   let len = String.length needle in
@@ -60,10 +60,10 @@ let test_names () =
       | None -> Alcotest.failf "doc %S = None" n)
     names
 
-(* The table holds exactly what a plan can pick; the per-rule
-   baselines (infant, decomposed) and Aho–Corasick are plain modules,
-   so their old names are unknown engines. Runs before any test-only
-   registration. *)
+(* The table holds exactly what a plan can pick; the paper's per-rule
+   baselines (infant, dfa, decomposed) and Aho–Corasick are not
+   registry engines, so their old names are unknown engines. Runs
+   before any test-only registration. *)
 let test_exact_builtins () =
   check
     Alcotest.(list string)
@@ -79,7 +79,7 @@ let test_exact_builtins () =
             (name ^ " is an unknown engine")
             (Registry.unknown_message name) msg
       | Ok _ -> Alcotest.failf "%S still compiles" name)
-    [ "infant"; "decomposed"; "ac" ]
+    [ "infant"; "dfa"; "decomposed"; "ac" ]
 
 let test_unknown () =
   check Alcotest.bool "find" true (Option.is_none (Registry.find "warp"));
@@ -169,8 +169,8 @@ let test_faulty_resolution () =
     (Registry.underlying "faulty{seed=3}:imfant");
   check Alcotest.string "underlying strips nested wrappers" "hybrid"
     (Registry.underlying "faulty:faulty{seed=1}:hybrid");
-  check Alcotest.string "underlying is identity elsewhere" "dfa"
-    (Registry.underlying "dfa");
+  check Alcotest.string "underlying is identity elsewhere" "imfant"
+    (Registry.underlying "imfant");
   (* Nested wrappers compile. *)
   (match Registry.find "faulty{seed=1}:faulty:imfant" with
   | Some _ -> ()
@@ -341,8 +341,7 @@ let test_stats_nonempty () =
 (* ------------------------------------------------------- Streaming *)
 
 (* Feeding chunk splits of [input] then finishing must reproduce the
-   whole-string run — for the native sessions (imfant, hybrid, auto)
-   and dfa's buffered re-scan session alike. The
+   whole-string run for every registered engine's session. The
    ruleset includes an end-anchored FSA, whose events must only appear
    at finish. *)
 let splits input =

@@ -5,6 +5,10 @@ module Pl = Mfsa_core.Pipeline
 module Sim = Mfsa_automata.Simulate
 module P = Mfsa_frontend.Parser
 module Ast = Mfsa_frontend.Ast
+module Merge = Mfsa_model.Merge
+module Im = Mfsa_engine.Imfant
+module Cluster = Mfsa_paper.Cluster
+module Ccsplit = Mfsa_paper.Ccsplit
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -14,6 +18,9 @@ let event = Alcotest.(pair int int)
 let events_of rs input =
   List.map (fun e -> (e.R.rule, e.R.end_pos)) (R.run rs input)
 
+let by_end (r1, e1) (r2, e2) =
+  if e1 <> e2 then Int.compare e1 e2 else Int.compare r1 r2
+
 let oracle patterns input =
   (* Per-rule reference matching through the single-FSA pipeline. *)
   Array.to_list patterns
@@ -21,10 +28,26 @@ let oracle patterns input =
          match Pl.build_fsa p with
          | Ok a -> List.map (fun e -> (i, e)) (Sim.match_ends a input)
          | Error _ -> [])
-  |> List.sort (fun (r1, e1) (r2, e2) ->
-         if e1 <> e2 then Int.compare e1 e2 else Int.compare r1 r2)
+  |> List.sort by_end
 
 let indexed patterns = Array.mapi (fun i p -> (i, p)) patterns
+
+(* The facade's grouping done by hand: merge each group of original
+   rule indices, run iMFAnt on it, and report events against the
+   original indices. The paper's grouping passes (similarity
+   clustering, partial class splitting) plug in here. *)
+let events_of_groups fsas groups input =
+  List.concat_map
+    (fun g ->
+      let g = Array.of_list g in
+      let z = Merge.merge (Array.map (fun i -> fsas.(i)) g) in
+      List.map (fun e -> (g.(e.Im.fsa), e.Im.end_pos)) (Im.run (Im.compile z) input))
+    groups
+  |> List.sort by_end
+
+let sequential ~m n =
+  List.init ((n + m - 1) / m) (fun g ->
+      List.init (min m (n - (g * m))) (fun k -> (g * m) + k))
 
 let rules = [| "abc"; "abd"; "x[yz]+"; "ab"; "bc" |]
 
@@ -47,22 +70,25 @@ let test_merging_factor_grouping () =
     (events_of rs input)
 
 let test_clustered_preserves_global_indices () =
-  (* Interleaved families: clustering permutes internally, but match
-     events must still carry the original indices. *)
+  (* Interleaved families: clustering permutes the rules into
+     non-sequential groups, but match events must still carry the
+     original indices. *)
   let patterns = [| "aaaa1"; "zzzz1"; "aaaa2"; "zzzz2" |] in
-  let rs = R.compile_exn ~m:2 ~cluster:true patterns in
+  let groups = Cluster.group ~m:2 patterns in
+  check Alcotest.bool "clustering regroups" true
+    (groups <> sequential ~m:2 (Array.length patterns));
   let input = "xxaaaa1yyzzzz2" in
   check (Alcotest.list event) "clustered matches oracle"
     (oracle (indexed patterns) input)
-    (events_of rs input)
+    (events_of_groups (Result.get_ok (Pl.build_fsas patterns)) groups input)
 
 let test_ccsplit_preserves_matching () =
   let patterns = [| "x[abce]y"; "x[bcd]y" |] in
-  let rs = R.compile_exn ~ccsplit:true patterns in
+  let fsas = Ccsplit.split (Result.get_ok (Pl.build_fsas patterns)) in
   let input = "xbyxdyxay" in
   check (Alcotest.list event) "cc-split matches oracle"
     (oracle (indexed patterns) input)
-    (events_of rs input)
+    (events_of_groups fsas [ [ 0; 1 ] ] input)
 
 let test_counts () =
   let rs = R.compile_exn [| "a"; "aa" |] in
@@ -164,16 +190,19 @@ let prop_extensions_match_plain =
            Array.of_list
              (List.map (fun r -> Format.asprintf "%a" Ast.pp_rule r) gen_rules)
          in
-         match R.compile ~m:2 patterns with
-         | Error _ -> QCheck2.assume_fail ()
-         | Ok plain ->
+         match (R.compile ~m:2 patterns, Pl.build_fsas patterns) with
+         | Error _, _ | _, Error _ -> QCheck2.assume_fail ()
+         | Ok plain, Ok fsas ->
              let reference = events_of plain input in
+             let clustered = Cluster.group ~m:2 patterns in
+             let split = Ccsplit.split fsas in
              List.for_all
-               (fun rs -> events_of rs input = reference)
+               (fun (fsas, groups) ->
+                 events_of_groups fsas groups input = reference)
                [
-                 R.compile_exn ~m:2 ~cluster:true patterns;
-                 R.compile_exn ~m:2 ~ccsplit:true patterns;
-                 R.compile_exn ~m:2 ~cluster:true ~ccsplit:true patterns;
+                 (fsas, clustered);
+                 (split, sequential ~m:2 (Array.length patterns));
+                 (split, clustered);
                ]))
 
 let () =

@@ -295,6 +295,33 @@ let test_compile_error_is_typed () =
             (String.length msg >= 14 && String.sub msg 0 14 = "compile-failed")
       | Ok _ -> Alcotest.fail "malformed pattern accepted")
 
+(* [.*a.{20}]'s DFA has 2^21 states. Neither a daemon started on it
+   nor a remote add of it may determinise: under [auto], the planner
+   path, each answers its match request in well under a second. *)
+let test_blowup_rule_answers_fast () =
+  let config = { Served.default_config with engine = "auto" } in
+  let blowup = ".*a.{20}" in
+  let input = "xa" ^ String.make 24 'b' in
+  let within_a_second what f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    check Alcotest.bool (Printf.sprintf "%s in %.3f s < 1 s" what dt) true
+      (dt < 1.);
+    r
+  in
+  within_a_second "start on the rule, then submit" (fun () ->
+      with_client ~config [| blowup |] (fun _ c ->
+          check results "one-rule daemon = Live.run"
+            [| expected_of ~rules:[| blowup |] input |]
+            (Result.get_ok (Client.submit c [| input |]))));
+  with_client ~config rules (fun _ c ->
+      within_a_second "add the rule, then submit" (fun () ->
+          ignore (Result.get_ok (Client.add_rule c blowup));
+          check results "added rule = Live.run"
+            [| expected_of ~rules:(Array.append rules [| blowup |]) input |]
+            (Result.get_ok (Client.submit c [| input |]))))
+
 let test_metrics_exposition () =
   with_client rules (fun _ c ->
       ignore (Result.get_ok (Client.submit c [| "abc" |]));
@@ -461,6 +488,8 @@ let () =
             test_admin_remove_and_list;
           Alcotest.test_case "compile error typed" `Quick
             test_compile_error_is_typed;
+          Alcotest.test_case "DFA blow-up rule answers fast" `Quick
+            test_blowup_rule_answers_fast;
           Alcotest.test_case "metrics exposition" `Quick
             test_metrics_exposition;
           Alcotest.test_case "remote shutdown drains" `Quick

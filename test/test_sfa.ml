@@ -181,8 +181,8 @@ let test_rejects_bad_specs () =
     (Invalid_argument "Sfa: threshold must be positive, got 0") (fun () ->
       ignore (Sfa.compile { Sfa.domains = 2; threshold = 0 } ~inner:"imfant" z));
   Alcotest.check_raises "bad inner"
-    (Invalid_argument "Sfa: inner engine must be imfant or hybrid, got \"dfa\"")
-    (fun () -> ignore (Sfa.compile (spec ()) ~inner:"dfa" z))
+    (Invalid_argument "Sfa: inner engine must be imfant or hybrid, got \"auto\"")
+    (fun () -> ignore (Sfa.compile (spec ()) ~inner:"auto" z))
 
 (* ---------------------------------------------------- Spec grammar *)
 
@@ -234,11 +234,11 @@ let test_registry_integration () =
     (Registry.underlying "sfa{domains=2}:imfant");
   check Alcotest.string "underlying strips stacked wrappers" "hybrid"
     (Registry.underlying "sfa:faulty{seed=1}:hybrid");
-  (match Registry.compile_automaton "sfa:dfa" z with
+  (match Registry.compile_automaton "sfa:auto" z with
   | Error msg ->
       check Alcotest.bool "inner restriction named" true
         (contains msg "imfant")
-  | Ok _ -> Alcotest.fail "sfa:dfa must not compile");
+  | Ok _ -> Alcotest.fail "sfa:auto must not compile");
   check Alcotest.bool "table capable" true
     (Registry.can_load_tables "sfa{domains=2,threshold=1}:imfant")
 

@@ -4,7 +4,7 @@
 module Prng = Mfsa_util.Prng
 module Bitset = Mfsa_util.Bitset
 module Vec = Mfsa_util.Vec
-module Indel = Mfsa_util.Indel
+module Indel = Mfsa_paper.Indel
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
