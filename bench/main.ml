@@ -892,7 +892,7 @@ let write_persist_json rows =
    plus the derived execution tables Artifact.export persists), save
    the artifact, reload it, and time both roads to engine-ready — the
    load side is O(artifact size) and must beat recompilation. Every
-   table-capable engine then replays the same stream from the compiled
+   registered engine then replays the same stream from the compiled
    and the reloaded tables; a count mismatch marks the row DIVERGED
    and fails the run. Writes BENCH_persist.json. *)
 let persist_bench cfg =
@@ -938,7 +938,7 @@ let persist_bench cfg =
                   ( name,
                     counts (Registry.compile_automaton_exn name) c.Pipeline.mfsas
                     = counts (Registry.compile_tables_exn name) loaded ))
-                (Registry.table_capable_names ())
+                (Registry.names ())
             in
             let r =
               {

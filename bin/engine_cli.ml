@@ -111,13 +111,9 @@ let load_term () =
     & opt (some file) None
     & info [ "load" ] ~docv:"FILE"
         ~doc:
-          (Printf.sprintf
-             "Load a compiled binary artifact (written by $(b,mfsa-compile \
-              --emit)) instead of compiling rules: startup is O(artifact \
-              size), no pipeline run. Only engines with a table loader \
-              accept it (%s)."
-             (String.concat ", "
-                (List.map (Printf.sprintf "$(b,%s)") (Registry.table_capable_names ())))))
+          "Load a compiled binary artifact (written by $(b,mfsa-compile \
+           --emit)) instead of compiling rules: startup is O(artifact \
+           size), no pipeline run. Every engine accepts it.")
 
 (* [source_of_ruleset ~rules path] classifies a positional ruleset
    argument. The artifact magic wins over both flags — a .mfsa file is
@@ -134,8 +130,8 @@ let source_of_ruleset ~rules path =
 
 (* Fold every typed source-level failure into the CLI's one-line
    [Error]: rejected rules (the pipeline's pinned "rule %d (%s): %s"
-   wording), bad artifacts, unreadable files, and engine-capability
-   errors all land here. *)
+   wording), bad artifacts, unreadable files and bad engine names all
+   land here. *)
 let catch_source f =
   match f () with
   | r -> Ok r

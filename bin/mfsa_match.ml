@@ -36,22 +36,16 @@ let read_file path =
    The serving path carries the fault-tolerance knobs: --deadline,
    --retries and --admission; a batch that times out or is rejected
    still dumps the metrics (the timeout/rejection counters included)
-   but exits non-zero with the typed error on stderr. An artifact
-   source builds the services from the persisted tables directly. *)
-let run_metrics resolved input threads engine fmt ~deadline ~retries ~admission
-    =
+   but exits non-zero with the typed error on stderr. Every service
+   loads its replicas from one of the source's table bundles. *)
+let run_metrics tables input threads engine fmt ~deadline ~retries ~admission =
   let failed = ref None in
   let services =
-    match resolved with
-    | Engine_cli.Source.Compiled_automata zs ->
-        List.map
-          (fun z -> Serve.create ~engine ~domains:threads ~admission ~retries z)
-          zs
-    | Engine_cli.Source.Compiled_tables tbs ->
-        List.map
-          (fun tb ->
-            Serve.create_tables ~engine ~domains:threads ~admission ~retries tb)
-          tbs
+    List.map
+      (fun tb ->
+        Serve.create_source ~engine ~domains:threads ~admission ~retries
+          (Engine_cli.Source.Tables [ tb ]))
+      tables
   in
   let snaps =
     List.mapi
@@ -108,31 +102,22 @@ let run paths load threads list_events stats rules metrics deadline retries
           Printf.eprintf "mfsa-match: %s\n" msg;
           1
       | Ok (source, input_path) when metrics <> None -> (
-          (* Pre-check the engine's artifact capability exactly like
-             the direct path would, then resolve the source once and
-             build one service per automaton. *)
+          (* Resolve the source once and build one service per
+             automaton. *)
           match
-            Result.join
-              (Engine_cli.catch_source (fun () ->
-                   match (source, Registry.can_load_tables engine) with
-                   | ( ( Engine_cli.Source.Artifact_file _
-                       | Engine_cli.Source.Artifact_bytes _ ),
-                       false ) ->
-                       Error (Registry.no_table_loader engine)
-                   | _ -> Ok (Engine_cli.Source.resolve source)))
+            Engine_cli.catch_source (fun () -> Engine_cli.Source.resolve source)
           with
           | Error msg ->
               Printf.eprintf "mfsa-match: %s\n" msg;
               1
-          | Ok resolved ->
+          | Ok tables ->
               let input = read_file input_path in
-              run_metrics resolved input threads engine (Option.get metrics)
+              run_metrics tables input threads engine (Option.get metrics)
                 ~deadline ~retries ~admission)
       | Ok (source, input_path) -> (
           let input = read_file input_path in
-          (* An engine without a table loader refuses artifacts, and
-             a bad ruleset or artifact fails to load — user errors,
-             not internal ones. *)
+          (* A bad ruleset or artifact fails to load — a user error,
+             not an internal one. *)
           match Engine_cli.compile_source engine source with
           | Error msg ->
               Printf.eprintf "mfsa-match: %s\n" msg;

@@ -643,11 +643,10 @@ let save path tables =
 
 (* ------------------------------------------------------ Compilation *)
 
-(* The save side reuses the transition-centric engine's compile: the
-   artifact is by definition "what Imfant.compile derives", exported. *)
+(* The artifact is by definition what [Imfant.tables] derives. *)
 let export mfsas =
   if mfsas = [] then invalid_arg "Artifact.export: no automata";
-  List.map (fun z -> Imfant.export_tables (Imfant.compile z)) mfsas
+  List.map Imfant.tables mfsas
 
 (* ------------------------------------------------------- Inspection *)
 

@@ -1,17 +1,16 @@
 (** Versioned binary MFSA artifacts (compile once, load in O(size)).
 
-    An artifact persists everything {!Mfsa_engine.Imfant.compile}
+    An artifact persists everything {!Mfsa_engine.Imfant.tables}
     derives from a merged automaton — the COO vectors, the byte-class
-    partition, the class-indexed transition tables, the unanchored
-    activation table and the literal-prefilter automaton — as a flat,
-    offset-based binary blob: an 8-byte magic
+    partition, the class-indexed transition tables and the
+    literal-prefilter automaton — as a flat, offset-based binary
+    blob: an 8-byte magic
     ({!Mfsa_engine.Source.artifact_magic}), a version word, and a
     checksummed section directory followed by the raw payloads.
     Loading is sequential reads plus validation; nothing is
-    re-derived, so artifact-capable engines
-    ({!Mfsa_engine.Registry.table_capable_names}) come up in time
-    proportional to the file size rather than to the compile
-    pipeline's cost. Lazy structures (the hybrid engine's
+    re-derived, so every registry engine (each is built from a table
+    bundle) comes up in time proportional to the file size rather
+    than to the compile pipeline's cost. Lazy structures (the hybrid engine's
     configuration cache) stay lazy.
 
     Linking this library installs the {!Mfsa_engine.Source} artifact
@@ -55,9 +54,8 @@ exception Error of error
 (** {2 Compile and persist} *)
 
 val export : Mfsa_model.Mfsa.t list -> Mfsa_engine.Tables.t list
-(** Compile each automaton with the transition-centric engine and
-    export its table bundle — the "compile" half of
-    compile-then-{!save}.
+(** Each automaton's table bundle ({!Mfsa_engine.Imfant.tables}) —
+    the "compile" half of compile-then-{!save}.
     @raise Invalid_argument on an empty list. *)
 
 val to_string : Mfsa_engine.Tables.t list -> string

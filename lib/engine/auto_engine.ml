@@ -26,38 +26,16 @@ type compiled = {
 let wrap feats choice packed hy =
   { packed; choice; feats; hy; mark_steps = 0; mark_hits = 0 }
 
-let compile z =
-  let feats = Planner.features_of_mfsa z in
+let of_tables tb =
+  let feats = Planner.features_of_tables tb in
   match Planner.choose feats with
   | "hybrid" ->
-      let h = Hybrid_engine.compile z in
+      let h = Hybrid_engine.of_tables tb in
       wrap feats "hybrid" (Engine_sig.pack (module Hybrid_engine) h) (Some h)
   | _ ->
       wrap feats "imfant"
-        (Engine_sig.pack (module Imfant_engine) (Imfant_engine.compile z))
+        (Engine_sig.pack (module Imfant_engine) (Imfant_engine.of_tables tb))
         None
-
-let of_tables =
-  Some
-    (fun tb ->
-      let feats = Planner.features_of_tables tb in
-      match Planner.choose feats with
-      | "hybrid" ->
-          let h = Hybrid.of_tables tb in
-          wrap feats "hybrid"
-            (Engine_sig.pack (module Hybrid_engine) h)
-            (Some h)
-      | _ ->
-          let load =
-            match Imfant_engine.of_tables with
-            | Some load -> load
-            | None -> assert false
-          in
-          wrap feats "imfant"
-            (Engine_sig.pack (module Imfant_engine) (load tb))
-            None)
-
-let to_tables c = Engine_sig.to_tables c.packed
 
 let mfsa c = Engine_sig.mfsa c.packed
 

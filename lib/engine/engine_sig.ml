@@ -6,9 +6,7 @@ module type S = sig
 
   type compiled
 
-  val compile : Mfsa_model.Mfsa.t -> compiled
-  val of_tables : (Tables.t -> compiled) option
-  val to_tables : compiled -> Tables.t option
+  val of_tables : Tables.t -> compiled
   val mfsa : compiled -> Mfsa_model.Mfsa.t
   val run : compiled -> string -> match_event list
   val count : compiled -> string -> int
@@ -41,8 +39,6 @@ let pack m c = Packed (m, c)
 let name (Packed ((module E), _)) = E.name
 
 let mfsa (Packed ((module E), c)) = E.mfsa c
-
-let to_tables (Packed ((module E), c)) = E.to_tables c
 
 let run (Packed ((module E), c)) input = E.run c input
 

@@ -3,10 +3,13 @@
     Every execution engine in this library — the transition-centric
     {!Imfant}, the lazy-DFA {!Hybrid} and the wrappers over them —
     answers the same question: given a compiled MFSA and an input,
-    which merged FSAs match where?  {!S} captures that
-    contract once, so callers (the live-update layer, the CLIs, the
-    benchmark harness, the serving layer) select an engine by name
-    through {!Registry} instead of hard-wiring per-engine branches.
+    which merged FSAs match where? Every one of them is built the same
+    way, from the MFSA's table bundle ({!Tables.t}), so a ruleset
+    compiled in-process and one loaded from an artifact reach the same
+    constructor. {!S} captures that contract once, so callers (the
+    live-update layer, the CLIs, the benchmark harness, the serving
+    layer) select an engine by name through {!Registry} instead of
+    hard-wiring per-engine branches.
 
     {!t} is the packed form: an existential pairing a first-class
     module implementing {!S} with one of its compiled values, so a
@@ -24,8 +27,8 @@
 
     Compiled engines own mutable scratch (state vectors, caches,
     counters): a compiled value must not be shared across domains.
-    Compile one replica per domain — {!Mfsa_serve.Serve} does exactly
-    that.
+    Load one replica per domain from a shared bundle —
+    {!Mfsa_serve.Serve} does exactly that.
 
     {b Domain confinement of [stats]/[reset_stats]:} engine counters
     are plain mutable fields updated inside {!S.run}, so reading them
@@ -54,26 +57,14 @@ module type S = sig
   type compiled
   (** A compiled automaton plus the engine's mutable scratch. *)
 
-  val compile : Mfsa_model.Mfsa.t -> compiled
-
-  val of_tables : (Tables.t -> compiled) option
-  (** The engine's {e artifact-loading capability}: [Some load]
-      means the engine can come up directly from a persisted table
-      bundle in O(size) with no re-derivation ([imfant], [hybrid],
-      [auto]); [None] means it cannot (only the [faulty{..}] wrapper,
-      which never loads artifacts), and
-      {!Registry}-level compilation from an artifact source fails
-      with a clean one-line user error instead of a backtrace. *)
-
-  val to_tables : compiled -> Tables.t option
-  (** The inverse capability: the compiled state as a shareable table
-      bundle, [None] for engines whose compiled form is not
-      table-shaped. The bundle is immutable post-export, so one
-      compile can seed many replicas through {!of_tables} in O(size)
-      each — {!Mfsa_serve.Serve} uses exactly this to stop paying one
-      full pipeline run per domain. Table-capable engines should
-      satisfy the round trip: [load (to_tables c)] behaves like
-      [c] freshly compiled. *)
+  val of_tables : Tables.t -> compiled
+  (** The one constructor: come up from an engine-ready table bundle
+      in O(size), deriving nothing but the step kernel's own layout.
+      A fresh compile hands it {!Imfant.tables} of the automaton; an
+      artifact load hands it the decoded bundle. The bundle is
+      read-only and may be shared: one bundle seeds every replica of
+      a {!Mfsa_serve.Serve} pool, each with its own mutable
+      scratch. *)
 
   val mfsa : compiled -> Mfsa_model.Mfsa.t
   (** The underlying automaton. *)
@@ -99,7 +90,7 @@ module type S = sig
 
   val reset_stats : compiled -> unit
   (** Return the observable metric state to that of a fresh
-      {!compile}: cumulative counters to zero, and any internal state
+      {!of_tables}: cumulative counters to zero, and any internal state
       the metrics expose (the hybrid's configuration cache) dropped
       with them — [reset_stats] followed by a run reproduces the
       metric snapshot of a fresh compile, the reproducibility
@@ -158,7 +149,6 @@ val pack : (module S with type compiled = 'c and type session = 's) -> 'c -> t
 
 val name : t -> string
 val mfsa : t -> Mfsa_model.Mfsa.t
-val to_tables : t -> Tables.t option
 val run : t -> string -> match_event list
 val count : t -> string -> int
 val count_per_fsa : t -> string -> int array

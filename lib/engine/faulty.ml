@@ -126,28 +126,19 @@ let make ~name:full_name cfg (module E : Engine_sig.S) : (module Engine_sig.S) =
     type compiled = {
       inner : E.compiled;
       mutable g : Prng.t;
-      mutable attempts : int;  (* run/count entry calls since compile/reset *)
+      mutable attempts : int;  (* run/count entry calls since load/reset *)
       mutable transients : int;
       mutable delays : int;
       mutable poisons : int;
-      mutable poisoned : bool;  (* sticky until a fresh compile (or reset) *)
+      mutable poisoned : bool;  (* sticky until a fresh load (or reset) *)
     }
 
-    (* Never loads artifacts: fault injection exists to exercise the
-       compile-from-source recovery paths, and a wrapper silently
-       passing tables through would mask capability errors of the
-       wrapped engine. *)
-    let of_tables = None
-
-    (* Exporting would be harmless, but a wrapper that cannot load
-       tables should not offer them either: Serve keys replica
-       spawning on the pair, and fault tests rely on the
-       compile-from-source path staying exercised. *)
-    let to_tables _ = None
-
-    let compile z =
+    (* Loads through the wrapped engine's constructor with a fresh
+       schedule and [poisoned = false]: a supervision respawn from the
+       shared table bundle is a genuinely new replica. *)
+    let of_tables tb =
       {
-        inner = E.compile z;
+        inner = E.of_tables tb;
         g = Prng.create cfg.seed;
         attempts = 0;
         transients = 0;
@@ -163,7 +154,7 @@ let make ~name:full_name cfg (module E : Engine_sig.S) : (module Engine_sig.S) =
        coin comes up for a *_p probability) injects that fault. Faults
        fire *before* the inner engine touches the input, so a retried
        attempt replays cleanly. A poisoned replica fails every call
-       until it is recompiled — the signal replica supervision keys
+       until it is reloaded — the signal replica supervision keys
        on. *)
     let inject c =
       if c.poisoned then raise (Replica_poisoned full_name);

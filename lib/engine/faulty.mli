@@ -22,7 +22,7 @@
       (default 5; 0 disables);
     - [poison_every] — every k-th attempt raises {!Replica_poisoned}
       and marks the replica poisoned: {e every} later call fails until
-      the engine is recompiled (default 0);
+      the replica is reloaded (default 0);
     - [delay_every] — every k-th attempt first sleeps [delay_ms]
       milliseconds (default 0; [delay_ms] defaults to 1);
     - [fail]/[poison]/[delay] — probabilistic variants in [[0,1]],
@@ -38,7 +38,7 @@ exception Transient_fault of string
     is the wrapper's full registry name. *)
 
 exception Replica_poisoned of string
-(** The replica is dead: every call fails until it is recompiled —
+(** The replica is dead: every call fails until it is reloaded —
     what {!Mfsa_serve.Serve}'s supervision reacts to by respawning the
     worker's replica. *)
 
@@ -66,6 +66,7 @@ val split_spec : string -> ((config * string), string) result option
 val make : name:string -> config -> (module Engine_sig.S) -> (module Engine_sig.S)
 (** [make ~name cfg (module E)] is the fault-injecting engine; [name]
     becomes its registry name (the full spec string, also the payload
-    of the fault exceptions). Each [compile] gets its own attempt
-    counter and PRNG, so every replica replays the same schedule
-    independently. *)
+    of the fault exceptions). It loads through the wrapped engine's
+    [of_tables], so it runs a compiled ruleset and an artifact alike.
+    Each load gets its own attempt counter and PRNG, so every replica
+    replays the same schedule independently. *)

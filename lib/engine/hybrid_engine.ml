@@ -7,11 +7,7 @@ let doc = "lazy-DFA configuration cache over iMFAnt (RE2-style)"
 
 type compiled = Hybrid.t
 
-let compile z = Hybrid.compile z
-
-let of_tables = Some (fun tb -> Hybrid.of_tables tb)
-
-let to_tables c = Some (Imfant.export_tables (Hybrid.imfant c))
+let of_tables tb = Hybrid.of_tables tb
 
 let mfsa = Hybrid.mfsa
 

@@ -215,7 +215,7 @@ let assemble (z : Mfsa.t) ~k ~class_of ~trans_by_cls ~prefilter =
     skipped_bytes = 0;
   }
 
-let compile (z : Mfsa.t) =
+let tables (z : Mfsa.t) =
   let cls = Mfsa.classes z in
   let k = cls.Mfsa.n_classes in
   let class_of = cls.Mfsa.class_of_byte in
@@ -246,9 +246,13 @@ let compile (z : Mfsa.t) =
   Array.iteri
     (fun t cc -> List.iter (fun cl -> Vec.push by_cls.(cl) t) (classes cc))
     z.Mfsa.idx;
-  assemble z ~k ~class_of
-    ~trans_by_cls:(Array.map Vec.to_array by_cls)
-    ~prefilter:(Prefilter.analyze z)
+  {
+    Tables.z;
+    n_classes = k;
+    class_of;
+    trans_by_cls = Array.map Vec.to_array by_cls;
+    prefilter = Prefilter.analyze z;
+  }
 
 let of_tables (tb : Tables.t) =
   let z = tb.Tables.z in
@@ -256,14 +260,7 @@ let of_tables (tb : Tables.t) =
     ~class_of:tb.Tables.class_of ~trans_by_cls:tb.Tables.trans_by_cls
     ~prefilter:tb.Tables.prefilter
 
-let export_tables t =
-  {
-    Tables.z = t.z;
-    n_classes = t.k;
-    class_of = t.class_of;
-    trans_by_cls = t.trans_by_cls;
-    prefilter = t.prefilter;
-  }
+let compile z = of_tables (tables z)
 
 let mfsa t = t.z
 

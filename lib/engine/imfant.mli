@@ -52,22 +52,24 @@ type stats = {
   max_active : int;  (** Peak of the same quantity ([Max Nact]). *)
 }
 
-val compile : Mfsa_model.Mfsa.t -> t
+val tables : Mfsa_model.Mfsa.t -> Tables.t
+(** The compile-time derivations: the byte-class alphabet, the
+    class-indexed transition lists and the literal prefilter. The
+    result is what every engine is built from ({!Engine_sig.S.of_tables})
+    and what an artifact stores. *)
 
 val of_tables : Tables.t -> t
-(** Adopt a pre-derived table bundle (an artifact load, or another
-    engine's export) in O(size of the tables): nothing is re-derived
-    except what the step kernel reads — the flat activation words, the
-    per-class injection tables and the per-class transition rows by
-    source state (O((transitions + states + Σ enabled) × ⌈fsas/62⌉ +
-    classes × states)). The bundle's class map and prefilter are used
-    as stored. The bundle's arrays are shared, not copied: they must
-    not be mutated afterwards. *)
+(** Adopt a table bundle (from {!tables} or an artifact load) in
+    O(size of the tables): nothing is re-derived except what the step
+    kernel reads — the flat activation words, the per-class injection
+    tables and the per-class transition rows by source state
+    (O((transitions + states + Σ enabled) × ⌈fsas/62⌉ + classes ×
+    states)). The bundle's class map and prefilter are used as
+    stored. The bundle's arrays are shared, not copied: they must not
+    be mutated afterwards. *)
 
-val export_tables : t -> Tables.t
-(** The complete compiled state minus mutable scratch, for the
-    artifact layer. [of_tables (export_tables t)] behaves exactly like
-    [t]. *)
+val compile : Mfsa_model.Mfsa.t -> t
+(** [of_tables (tables z)]. *)
 
 val mfsa : t -> Mfsa_model.Mfsa.t
 (** The underlying automaton. *)

@@ -14,13 +14,7 @@ type compiled = {
   mutable runs : int;
 }
 
-let of_imfant im = { im; bytes = 0; runs = 0 }
-
-let compile z = of_imfant (Imfant.compile z)
-
-let of_tables = Some (fun tb -> of_imfant (Imfant.of_tables tb))
-
-let to_tables c = Some (Imfant.export_tables c.im)
+let of_tables tb = { im = Imfant.of_tables tb; bytes = 0; runs = 0 }
 
 let mfsa c = Imfant.mfsa c.im
 

@@ -43,14 +43,12 @@ type features = {
 val features_of_mfsa : Mfsa_model.Mfsa.t -> features
 
 val features_of_tables : Tables.t -> features
-(** Features from a persisted bundle, derived from its patterns as
-    {!features_of_mfsa} does, so an artifact plans the same engine as
-    compiling its rules. *)
+(** Features from a table bundle, derived from its automaton as
+    {!features_of_mfsa} does — what [auto] plans from, so an artifact
+    plans the same engine as compiling its rules. *)
 
 val choose : features -> string
-(** Registry name of the planned engine: ["hybrid"] or ["imfant"].
-    Both are table-capable, so an artifact plans the same engine as
-    compiling its rules. *)
+(** Registry name of the planned engine: ["hybrid"] or ["imfant"]. *)
 
 val demote_window : int
 (** Steps per online-monitoring window (16384). *)

@@ -89,76 +89,24 @@ let help () =
   ^ "sfa{..}:<engine>     SFA intra-input parallel wrapper over imfant or \
      hybrid (domains=, threshold= split size in bytes)\n"
 
-let compile_automaton name z =
-  match resolve name with
-  | Error msg -> Error msg
-  | Ok (module E : Engine_sig.S) ->
-      Ok (Engine_sig.pack (module E) (E.compile z))
+(* The one construction path: every source resolves to table bundles,
+   and every engine is built from one by its [of_tables]. The name is
+   resolved first, so a bad one fails before any source is read. *)
+let loader name =
+  Result.map
+    (fun (module E : Engine_sig.S) tb ->
+      Engine_sig.pack (module E) (E.of_tables tb))
+    (resolve name)
 
-let compile_automaton_exn name z =
-  match compile_automaton name z with
-  | Ok t -> t
+let or_raise = function
+  | Ok x -> x
   | Error msg -> invalid_arg ("Registry.compile_exn: " ^ msg)
 
-(* ------------------------------------------------------------------ *)
-(* The unified compile surface                                         *)
-(* ------------------------------------------------------------------ *)
+let compile_tables_exn name tb = or_raise (loader name) tb
 
-let can_load_tables name =
-  match resolve name with
-  | Error _ -> false
-  | Ok (module E : Engine_sig.S) -> E.of_tables <> None
-
-let table_capable_names () = List.filter can_load_tables (names ())
-
-(* The capability error is a user error (they picked an engine and an
-   artifact that don't go together), so it gets the same clean
-   one-line treatment as an unknown engine name. *)
-let no_table_loader name =
-  Printf.sprintf
-    "engine %S cannot load a compiled artifact (engines with a table \
-     loader: %s); recompile from rules instead"
-    name
-    (String.concat ", " (table_capable_names ()))
-
-let compile_tables name tb =
-  match resolve name with
-  | Error msg -> Error msg
-  | Ok (module E : Engine_sig.S) -> (
-      match E.of_tables with
-      | None -> Error (no_table_loader name)
-      | Some load -> Ok (Engine_sig.pack (module E) (load tb)))
-
-let compile_tables_exn name tb =
-  match compile_tables name tb with
-  | Ok t -> t
-  | Error msg -> invalid_arg ("Registry.compile_exn: " ^ msg)
+let compile_automaton_exn name z = compile_tables_exn name (Imfant.tables z)
 
 let compile name source =
-  match resolve name with
-  | Error msg -> Error msg
-  | Ok (module E : Engine_sig.S) -> (
-      (* Check the artifact capability before paying for the load: a
-         syntactically artifact-shaped source with an incapable engine
-         is refused without touching the file. *)
-      match source with
-      | (Source.Artifact_file _ | Source.Artifact_bytes _)
-        when E.of_tables = None ->
-          Error (no_table_loader name)
-      | _ -> (
-          match Source.resolve source with
-          | Source.Compiled_automata zs ->
-              Ok (List.map (fun z -> Engine_sig.pack (module E) (E.compile z)) zs)
-          | Source.Compiled_tables ts -> (
-              match E.of_tables with
-              | None -> Error (no_table_loader name)
-              | Some load ->
-                  Ok
-                    (List.map
-                       (fun tb -> Engine_sig.pack (module E) (load tb))
-                       ts))))
+  Result.map (fun load -> List.map load (Source.resolve source)) (loader name)
 
-let compile_exn name source =
-  match compile name source with
-  | Ok t -> t
-  | Error msg -> invalid_arg ("Registry.compile_exn: " ^ msg)
+let compile_exn name source = or_raise (compile name source)

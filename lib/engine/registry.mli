@@ -25,6 +25,9 @@
 
     Every registered engine streams natively: a session carries its
     cross-chunk state, so feeding costs the chunk, not the stream.
+    Every engine, wrappers included, has one constructor,
+    {!Engine_sig.S.of_tables}: a ruleset and an artifact reach it the
+    same way, as a table bundle.
 
     The paper's baselines — per-rule iNFAnt, per-rule DFAs, the
     decomposition matcher — live in the separate [mfsa.paper]
@@ -75,16 +78,19 @@ val unknown_message : string -> string
 (** {2 The unified compile surface}
 
     One entrypoint from "where the automata come from" ({!Source.t}:
-    rules, pre-built automata, or a binary artifact) to running packed
-    engines — what [mfsa-match], [mfsa-live], [mfsa-served] and the
-    bench harness all call. *)
+    rules, pre-built automata, a binary artifact or table bundles) to
+    running packed engines — what [mfsa-match], [mfsa-live],
+    [mfsa-served] and the bench harness all call. There is one
+    construction path: the source resolves to table bundles
+    ({!Source.resolve}) and the engine is built from each by its
+    {!Engine_sig.S.of_tables}, so every engine, the [faulty{..}] and
+    [sfa{..}] wrappers included, runs an artifact as it runs rules. *)
 
 val compile : string -> Source.t -> (Engine_sig.t list, string) result
-(** Resolve the engine name, resolve the source, and compile one
-    packed instance per automaton the source yields. [Error] carries
-    engine-level failures (unknown name, malformed wrapper spec, or
-    an artifact source handed to an engine without a table loader —
-    checked {e before} the artifact is read). Source-level failures
+(** Resolve the engine name, resolve the source, and build one packed
+    instance per automaton the source yields. [Error] carries
+    engine-name failures (unknown name, malformed wrapper spec),
+    checked {e before} the source is read. Source-level failures
     propagate as their own typed exceptions: the pipeline's
     [Compile_error] for bad rules, the artifact library's error for a
     bad artifact, [Source.Error] for an unreadable file. *)
@@ -93,36 +99,17 @@ val compile_exn : string -> Source.t -> Engine_sig.t list
 (** @raise Invalid_argument on the [Error] cases of {!compile} (plus
     the source-level exceptions it lets through). *)
 
-(** {2 Per-automaton compilation}
+(** {2 Per-automaton construction}
 
     The lower-level half of {!compile}, for callers that already hold
     an automaton or a table bundle (the serving layer's replica
     spawns, the live layer's generation refreshes, the experiment
     drivers). *)
 
-val compile_automaton : string -> Mfsa_model.Mfsa.t -> (Engine_sig.t, string) result
-(** Resolve the name and compile a packed engine instance. *)
-
 val compile_automaton_exn : string -> Mfsa_model.Mfsa.t -> Engine_sig.t
-(** @raise Invalid_argument on an unknown name. *)
-
-val compile_tables : string -> Tables.t -> (Engine_sig.t, string) result
-(** Adopt a persisted table bundle through the engine's
-    {!Engine_sig.S.of_tables} capability; [Error] with a clean
-    one-line message when the engine has none. *)
+(** Build the named engine from {!Imfant.tables} of the automaton.
+    @raise Invalid_argument on an unknown name. *)
 
 val compile_tables_exn : string -> Tables.t -> Engine_sig.t
-
-val can_load_tables : string -> bool
-(** Whether the named engine has a table loader ([false] also for
-    unknown names). [faulty{..}] wrappers never do: fault injection
-    exists to test the compile-from-source recovery paths. *)
-
-val table_capable_names : unit -> string list
-(** The registered engines that can load artifacts, sorted. *)
-
-val no_table_loader : string -> string
-(** The shared one-line error for an artifact source handed to an
-    engine without a table loader (lists the capable engines) — what
-    {!compile} and {!compile_tables} say, exported so other serving
-    entry points report the identical wording. *)
+(** Build the named engine from a table bundle in O(size).
+    @raise Invalid_argument on an unknown name. *)

@@ -166,8 +166,6 @@ let compile spec ~inner z = of_imfant spec ~inner (Imfant.compile z)
 
 let of_tables spec ~inner tb = of_imfant spec ~inner (Imfant.of_tables tb)
 
-let export_tables t = Imfant.export_tables t.im
-
 let mfsa t = Imfant.mfsa t.im
 
 let spec t = t.spec
@@ -394,11 +392,7 @@ let make ~name:full_name (cfg : spec) ~inner : (module Engine_sig.S) =
 
     type compiled = t
 
-    let compile z = compile cfg ~inner z
-
-    let of_tables = Some (fun tb -> of_tables cfg ~inner tb)
-
-    let to_tables c = Some (export_tables c)
+    let of_tables tb = of_tables cfg ~inner tb
 
     let mfsa = mfsa
 

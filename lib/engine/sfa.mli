@@ -44,7 +44,7 @@ val split_spec : string -> (spec * string, string) result option
 
 val make : name:string -> spec -> inner:string -> (module Engine_sig.S)
 (** The registry wrapper module. [inner] must be ["imfant"] or
-    ["hybrid"] (validated at compile time). *)
+    ["hybrid"] (validated when an engine is built). *)
 
 (** {2 Direct API} *)
 
@@ -56,8 +56,6 @@ val compile : spec -> inner:string -> Mfsa_model.Mfsa.t -> t
     built eagerly, so replicas share them across domains. *)
 
 val of_tables : spec -> inner:string -> Tables.t -> t
-
-val export_tables : t -> Tables.t
 
 val mfsa : t -> Mfsa_model.Mfsa.t
 

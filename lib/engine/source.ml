@@ -6,10 +6,7 @@ type t =
   | Automata of Mfsa.t list
   | Artifact_file of string
   | Artifact_bytes of string
-
-type resolved =
-  | Compiled_automata of Mfsa.t list
-  | Compiled_tables of Tables.t list
+  | Tables of Tables.t list
 
 exception Error of string
 
@@ -66,6 +63,8 @@ let describe = function
   | Automata zs -> Printf.sprintf "%d in-process automaton(s)" (List.length zs)
   | Artifact_file p -> Printf.sprintf "artifact %s" p
   | Artifact_bytes _ -> "in-memory artifact"
+  | Tables tbs ->
+      Printf.sprintf "%d in-process table bundle(s)" (List.length tbs)
 
 (* The two compilation back ends live above this library (the rule
    pipeline in mfsa.core, the artifact reader in mfsa.artifact), so
@@ -101,8 +100,10 @@ let load_artifact src =
             Mfsa_artifact.Artifact)")
 
 let resolve = function
-  | Rules rules -> Compiled_automata (compile_rules rules)
-  | Rules_file path -> Compiled_automata (compile_rules (read_rules_file path))
-  | Automata zs -> Compiled_automata zs
-  | Artifact_file path -> Compiled_tables (load_artifact (`File path))
-  | Artifact_bytes bytes -> Compiled_tables (load_artifact (`Bytes bytes))
+  | Rules rules -> List.map Imfant.tables (compile_rules rules)
+  | Rules_file path ->
+      List.map Imfant.tables (compile_rules (read_rules_file path))
+  | Automata zs -> List.map Imfant.tables zs
+  | Artifact_file path -> load_artifact (`File path)
+  | Artifact_bytes bytes -> load_artifact (`Bytes bytes)
+  | Tables tbs -> tbs

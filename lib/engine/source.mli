@@ -1,5 +1,6 @@
 (** What a compiled engine is built {e from} — the one input type of
-    the unified compile surface.
+    the unified compile surface. Every source resolves to table
+    bundles ({!Tables.t}), the one thing every engine is built from.
 
     Every consumer that used to hand-roll its own path from "rules on
     disk" or "a serialized artifact" to a running engine
@@ -12,10 +13,11 @@
     - {!Rules} / {!Rules_file}: POSIX-ERE patterns, compiled through
       the full pipeline (parse → Thompson → optimise → merge).
     - {!Automata}: already-built automata (e.g. loaded from extended
-      ANML) — engines compile their tables from them.
+      ANML) — their tables are derived by {!Imfant.tables}.
     - {!Artifact_file} / {!Artifact_bytes}: a versioned binary
       artifact written by [mfsa-compile --emit]; loading reconstructs
       engine-ready tables in O(size) with no re-derivation.
+    - {!Tables}: bundles already in memory, used as they are.
 
     Rule compilation and artifact decoding live {e above} this
     library ([mfsa.core] and [mfsa.artifact]); they plug in through
@@ -31,14 +33,9 @@ type t =
   | Automata of Mfsa_model.Mfsa.t list  (** Pre-built automata. *)
   | Artifact_file of string  (** Path to a binary artifact. *)
   | Artifact_bytes of string  (** An artifact already in memory. *)
-
-type resolved =
-  | Compiled_automata of Mfsa_model.Mfsa.t list
-      (** Engines must run their own table derivations. *)
-  | Compiled_tables of Tables.t list
-      (** Engine-ready tables — adopted, never re-derived. Engines
-          without a table loader ({!Engine_sig.S.of_tables} =
-          [None]) cannot execute these. *)
+  | Tables of Tables.t list
+      (** Bundles already in memory (e.g. one automaton of an
+          artifact load), used as they are. *)
 
 exception Error of string
 (** Source-level failure: unreadable rules file, or a missing back
@@ -46,8 +43,9 @@ exception Error of string
     Artifact decoding failures raise the artifact library's own typed
     error instead. *)
 
-val resolve : t -> resolved
-(** Read, compile or decode the source. Raises the pipeline's typed
+val resolve : t -> Tables.t list
+(** Read, compile or decode the source into one table bundle per
+    automaton. Raises the pipeline's typed
     [Compile_error] on bad rules, the artifact library's typed error
     on a bad artifact, and {!Error} for source-level failures. *)
 

@@ -1,6 +1,6 @@
 (* The engine-ready table bundle: everything an artifact stores beyond
-   the automaton itself, and everything a table-capable engine needs
-   to come up without re-running its compile-time derivations. *)
+   the automaton itself, and everything an engine needs to come up
+   without re-running its compile-time derivations. *)
 
 module Mfsa = Mfsa_model.Mfsa
 

@@ -1,4 +1,4 @@
-(** Engine-ready tables, bundled for persistence.
+(** Engine-ready tables: what every engine is built from.
 
     A value of this type is the complete compiled state of the
     transition-centric engine ({!Imfant}) minus its mutable scratch:
@@ -7,13 +7,15 @@
     tables the step kernel reads are cheap word copies of the
     automaton's own sets, so they are rebuilt on adoption, not
     stored.
-    {!Imfant.export_tables} produces one; {!Imfant.of_tables} and
-    {!Hybrid.of_tables} adopt one in O(size of the tables) — no
-    re-derivation, which is what makes artifact loading cheap.
+    {!Imfant.tables} derives one from an automaton, and an artifact
+    load decodes one; either way every registry engine comes up from
+    it through its one constructor, {!Engine_sig.S.of_tables}, in
+    O(size of the tables) — no re-derivation, which is what makes
+    artifact loading cheap.
 
     Everything here is treated as read-only by the engines that adopt
     it; the arrays may be shared between engine instances (the serving
-    layer compiles one replica per domain from one shared bundle). *)
+    layer loads one replica per domain from one shared bundle). *)
 
 type t = {
   z : Mfsa_model.Mfsa.t;

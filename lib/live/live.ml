@@ -112,11 +112,11 @@ let of_rules ?gc_threshold ?engine patterns =
 
 (* Unified-source construction. Rules route through [of_rules] (the
    builder wants the individual FSAs, which only the pipeline has);
-   an automaton or artifact source is *adopted*: the builder
-   reconstitutes around the merged automaton (slot j = merged FSA j,
-   stable rule id j), and — for artifacts — the first generation's
-   engine comes up eagerly from the persisted tables, no
-   re-derivation. Updates after adoption refresh through the normal
+   any other source is *adopted*: it resolves to one table bundle, the
+   builder reconstitutes around the bundle's merged automaton (slot j
+   = merged FSA j, stable rule id j), and the first generation's
+   engine is loaded from that bundle on first use, no re-derivation.
+   Updates after adoption refresh through the normal
    freeze-and-recompile path. *)
 let of_source ?gc_threshold ?engine source =
   let module Source = Mfsa_engine.Source in
@@ -124,45 +124,35 @@ let of_source ?gc_threshold ?engine source =
   | Source.Rules patterns -> of_rules ?gc_threshold ?engine patterns
   | Source.Rules_file path ->
       of_rules ?gc_threshold ?engine (Source.read_rules_file path)
-  | Source.Automata _ | Source.Artifact_file _ | Source.Artifact_bytes _ ->
-      let adopt z eng =
-        let t = create ?gc_threshold ?engine () in
-        let b = Builder.of_mfsa z in
-        let t = { t with builder = b } in
-        Array.iteri (fun j p -> ignore (register t p j : int)) z.Mfsa.patterns;
-        t.updates_ok <- z.Mfsa.n_fsas;
-        t.snap <-
-          {
-            sgen = 0;
-            payload =
-              Some
-                {
-                  z;
-                  engine = eng;
-                  rule_of_fsa = Array.init z.Mfsa.n_fsas Fun.id;
-                };
-          };
-        t
-      in
-      let one what = function
-        | [ x ] -> x
+  | Source.Automata _ | Source.Artifact_file _ | Source.Artifact_bytes _
+  | Source.Tables _ ->
+      let t = create ?gc_threshold ?engine () in
+      let tb =
+        match Source.resolve source with
+        | [ tb ] -> tb
         | l ->
             invalid_arg
               (Printf.sprintf
-                 "Live.of_source: source yields %d %s; the live layer wants \
-                  exactly one (merge with m=0)"
-                 (List.length l) what)
+                 "Live.of_source: source yields %d table bundles; the live \
+                  layer wants exactly one (merge with m=0)"
+                 (List.length l))
       in
-      (match Source.resolve source with
-      | Source.Compiled_automata zs ->
-          let z = one "automata" zs in
-          let name = Option.value engine ~default:"imfant" in
-          Ok (adopt z (lazy (Registry.compile_automaton_exn name z)))
-      | Source.Compiled_tables tbs ->
-          let tb = one "table bundles" tbs in
-          let name = Option.value engine ~default:"imfant" in
-          let eng = Registry.compile_tables_exn name tb in
-          Ok (adopt tb.Mfsa_engine.Tables.z (Lazy.from_val eng)))
+      let z = tb.Mfsa_engine.Tables.z in
+      let t = { t with builder = Builder.of_mfsa z } in
+      Array.iteri (fun j p -> ignore (register t p j : int)) z.Mfsa.patterns;
+      t.updates_ok <- z.Mfsa.n_fsas;
+      t.snap <-
+        {
+          sgen = 0;
+          payload =
+            Some
+              {
+                z;
+                engine = lazy (Registry.compile_tables_exn t.engine_name tb);
+                rule_of_fsa = Array.init z.Mfsa.n_fsas Fun.id;
+              };
+        };
+      Ok t
 
 let add_rule t pattern =
   match Pipeline.build_fsa pattern with

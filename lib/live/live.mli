@@ -80,18 +80,18 @@ val of_source :
   Mfsa_engine.Source.t ->
   (t, Mfsa_core.Pipeline.error) result
 (** {!of_rules} from a unified {!Mfsa_engine.Source}. Rules sources
-    are {!of_rules} exactly. An automaton or binary-artifact source is
-    {e adopted}: merged FSA [j] becomes rule id [j] (its pattern is
-    the automaton's stored provenance), the builder reconstitutes
-    around the merged structure, and — for artifacts — the first
-    generation's engine comes up directly from the persisted tables,
-    so a hot-standby process resumes serving in O(artifact size).
-    Later updates refresh through the normal compile path. The source
-    must yield exactly one automaton (merge with [m = 0]).
+    are {!of_rules} exactly. Any other source (automata, a binary
+    artifact, table bundles) is {e adopted}: it resolves to one table
+    bundle, merged FSA [j] becomes rule id [j] (its pattern is the
+    automaton's stored provenance), the builder reconstitutes around
+    the merged structure, and the first generation's engine is loaded
+    from the bundle on first use, so a hot-standby process resumes
+    serving from an artifact in O(artifact size). Later updates
+    refresh through the normal compile path. The source must yield
+    exactly one automaton (merge with [m = 0]).
 
     @raise Invalid_argument when the source yields zero or several
-    automata, or when [engine] cannot load tables and the source is an
-    artifact. Artifact/IO failures propagate as their typed
+    automata. Artifact/IO failures propagate as their typed
     exceptions. *)
 
 val add_rule : t -> string -> (int, Mfsa_core.Pipeline.error) result

@@ -278,10 +278,7 @@ let best_of_runs reps f =
 let automaton_times cfg ~m { fsas; stream; _ } =
   Merge.merge_groups ~m fsas
   |> List.map (fun z ->
-         let eng =
-           Imfant.of_tables
-             { (Imfant.export_tables (Imfant.compile z)) with prefilter = None }
-         in
+         let eng = Imfant.of_tables { (Imfant.tables z) with prefilter = None } in
          time_runs cfg.reps (fun () -> ignore (Imfant.count eng stream)))
 
 let fig9 cfg =

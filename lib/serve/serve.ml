@@ -80,19 +80,16 @@ type t = {
   spawn : unit -> Engine_sig.t;
       (* Fresh replica factory: what [create]d the initial replicas,
          and what supervision respawns poisoned ones from. Closes over
-         an automaton (compile path) or a persisted table bundle
-         (artifact path) — both immutable, so calling it from any
-         worker domain is safe. *)
+         the service's one table bundle, which is immutable, so
+         calling it from any worker domain is safe. *)
   n_domains : int;
   admission : admission;
   retries : int;  (* extra attempts per job on transient/poison faults *)
   backoff : float;  (* base backoff seconds, doubled per retry *)
-  is_transient : exn -> bool;
-  is_poison : exn -> bool;
   queue : msg Bounded_queue.t;
   mutable workers : unit Domain.t array;
   (* Replica [i] belongs to worker [i], which is the only domain that
-     may touch it (run, stats, recompile-on-poison) while workers are
+     may touch it (run, stats, respawn-on-poison) while workers are
      alive; the array cell itself is updated under [m]. *)
   replicas : Engine_sig.t array;
   per_domain_jobs : int array;
@@ -131,7 +128,7 @@ type t = {
 
 (* ------------------------------------------------------- Workers *)
 
-let recompile_replica t i =
+let respawn_replica t i =
   let fresh = t.spawn () in
   Mutex.lock t.m;
   t.replicas.(i) <- fresh;
@@ -158,20 +155,28 @@ let maybe_publish_stats t i replica =
   end
 
 (* Run one job with bounded retry and replica supervision. A poison
-   fault marks the replica dead; we respawn it (freshly compiled
-   engine) before deciding whether the job itself gets another
-   attempt, so even a non-retried poison leaves the worker healthy
-   for the next job. The backtrace is captured at the failure point
-   and travels with the exception to the submitter. *)
+   fault ([Faulty.Replica_poisoned]) marks the replica dead; we
+   respawn it (a fresh engine loaded from the service's bundle)
+   before deciding whether the job itself gets another attempt, so
+   even a non-retried poison leaves the worker healthy for the next
+   job. A [Faulty.Transient_fault] is only retried. The backtrace is
+   captured at the failure point and travels with the exception to
+   the submitter. *)
 let execute t i replica input =
   let rec attempt n =
     match Engine_sig.run !replica input with
     | events -> Ok events
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        let poison = t.is_poison e in
-        if poison then replica := recompile_replica t i;
-        if (poison || t.is_transient e) && n < t.retries then begin
+        let retryable =
+          match e with
+          | Faulty.Replica_poisoned _ ->
+              replica := respawn_replica t i;
+              true
+          | Faulty.Transient_fault _ -> true
+          | _ -> false
+        in
+        if retryable && n < t.retries then begin
           Obs.inc t.retries_c;
           if t.backoff > 0. then
             Unix.sleepf (t.backoff *. (2. ** float_of_int n));
@@ -221,12 +226,24 @@ let worker t i () =
 
 (* -------------------------------------------------------- Create *)
 
-let default_transient = function Faulty.Transient_fault _ -> true | _ -> false
-
-let default_poison = function Faulty.Replica_poisoned _ -> true | _ -> false
-
-let create_spawn ~engine ~domains ~queue_capacity ~admission ~retries ~backoff
-    ~is_transient ~is_poison spawn =
+(* The one construction path: the source resolves to one table
+   bundle, and every replica — initial and respawned — is loaded from
+   it in O(size). The bundle is immutable, so sharing it read-only
+   across worker domains is safe; each replica's mutable scratch is
+   its own. *)
+let create_source ?(engine = "imfant") ?domains ?queue_capacity
+    ?(admission = Block) ?(retries = 0) ?(backoff = 0.001) source =
+  let tb =
+    match Mfsa_engine.Source.resolve source with
+    | [ tb ] -> tb
+    | l ->
+        invalid_arg
+          (Printf.sprintf
+             "Serve.create_source: source yields %d table bundles; serving \
+              wants exactly one (merge with m=0, or serve each separately)"
+             (List.length l))
+  in
+  let spawn () = Registry.compile_tables_exn engine tb in
   let n_domains =
     match domains with Some d -> d | None -> Pool.available_parallelism ()
   in
@@ -238,7 +255,7 @@ let create_spawn ~engine ~domains ~queue_capacity ~admission ~retries ~backoff
     invalid_arg "Serve.create: queue_capacity must be >= 1";
   if retries < 0 then invalid_arg "Serve.create: retries must be >= 0";
   if backoff < 0. then invalid_arg "Serve.create: backoff must be >= 0";
-  (* One replica per domain, compiled up front on the calling domain;
+  (* One replica per domain, loaded up front on the calling domain;
      each is handed to exactly one worker and never shared. *)
   let replicas = Array.init n_domains (fun _ -> spawn ()) in
   let reg = Obs.create () in
@@ -270,7 +287,7 @@ let create_spawn ~engine ~domains ~queue_capacity ~admission ~retries ~backoff
   in
   let restarts_c =
     Obs.counter ~registry:reg
-      ~help:"Worker replicas respawned with a freshly compiled engine"
+      ~help:"Worker replicas respawned with a freshly loaded engine"
       "mfsa_serve_replica_restarts_total"
   in
   let t =
@@ -281,8 +298,6 @@ let create_spawn ~engine ~domains ~queue_capacity ~admission ~retries ~backoff
       admission;
       retries;
       backoff;
-      is_transient;
-      is_poison;
       queue = Bounded_queue.create ~capacity:queue_capacity;
       workers = [||];
       replicas;
@@ -314,61 +329,9 @@ let create_spawn ~engine ~domains ~queue_capacity ~admission ~retries ~backoff
   t.workers <- Array.init n_domains (fun i -> Domain.spawn (worker t i));
   t
 
-(* One full pipeline run, not one per replica: the first compile's
-   table bundle (immutable post-export) seeds every replica — and
-   every supervision respawn — through the engine's of_tables
-   capability in O(size). Engines without the table round trip (the
-   per-rule baselines, faulty wrappers) keep the compile-per-replica
-   behaviour; for them the capability pair is deliberately absent. *)
-let create ?(engine = "imfant") ?domains ?queue_capacity ?(admission = Block)
-    ?(retries = 0) ?(backoff = 0.001) ?(is_transient = default_transient)
-    ?(is_poison = default_poison) z =
-  let spawn =
-    let from_source () = Registry.compile_automaton_exn engine z in
-    if not (Registry.can_load_tables engine) then from_source
-    else
-      match Engine_sig.to_tables (from_source ()) with
-      | Some tb -> fun () -> Registry.compile_tables_exn engine tb
-      | None -> from_source
-  in
-  create_spawn ~engine ~domains ~queue_capacity ~admission ~retries ~backoff
-    ~is_transient ~is_poison spawn
-
-(* Replicas adopted from a persisted table bundle: the bundle is
-   immutable, so sharing it read-only across worker domains is safe —
-   only the per-replica scratch (created by of_tables) is private.
-   Capability is checked here, on the calling domain, not inside a
-   worker mid-respawn. *)
-let create_tables ?(engine = "imfant") ?domains ?queue_capacity
-    ?(admission = Block) ?(retries = 0) ?(backoff = 0.001)
-    ?(is_transient = default_transient) ?(is_poison = default_poison) tb =
-  ignore (Registry.compile_tables_exn engine tb : Engine_sig.t);
-  create_spawn ~engine ~domains ~queue_capacity ~admission ~retries ~backoff
-    ~is_transient ~is_poison (fun () -> Registry.compile_tables_exn engine tb)
-
-(* The unified-source entry: a rules/automata source compiles one
-   replica per spawn; an artifact source loads its table bundle once
-   and every spawn adopts it through the engine's of_tables
-   capability. *)
-let create_source ?(engine = "imfant") ?domains ?queue_capacity
-    ?(admission = Block) ?(retries = 0) ?(backoff = 0.001)
-    ?(is_transient = default_transient) ?(is_poison = default_poison) source =
-  let one what = function
-    | [ x ] -> x
-    | l ->
-        invalid_arg
-          (Printf.sprintf
-             "Serve.create_source: source yields %d %s; serving wants exactly \
-              one (merge with m=0, or serve each separately)"
-             (List.length l) what)
-  in
-  match Mfsa_engine.Source.resolve source with
-  | Mfsa_engine.Source.Compiled_automata zs ->
-      create ~engine ?domains ?queue_capacity ~admission ~retries ~backoff
-        ~is_transient ~is_poison (one "automata" zs)
-  | Mfsa_engine.Source.Compiled_tables tbs ->
-      create_tables ~engine ?domains ?queue_capacity ~admission ~retries
-        ~backoff ~is_transient ~is_poison (one "table bundles" tbs)
+let create ?engine ?domains ?queue_capacity ?admission ?retries ?backoff z =
+  create_source ?engine ?domains ?queue_capacity ?admission ?retries ?backoff
+    (Mfsa_engine.Source.Automata [ z ])
 
 let engine t = t.engine_name
 

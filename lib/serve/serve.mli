@@ -4,10 +4,13 @@
     automata} over a thread pool; this module adds the dual,
     data-parallel axis needed to serve heavy traffic: one automaton,
     many inputs, sharded across OCaml 5 domains. A {!t} owns a pool of
-    worker domains, each holding its {e own} compiled replica of the
-    selected engine — compiled engines carry mutable scratch (state
-    vectors, caches) and must never be shared across domains — plus a
-    bounded submission queue in front of the pool.
+    worker domains, each holding its {e own} replica of the selected
+    engine — engines carry mutable scratch (state vectors, caches)
+    and must never be shared across domains — plus a bounded
+    submission queue in front of the pool. Every replica, respawns
+    included, is loaded from one table bundle per service
+    ({!Mfsa_engine.Tables.t}), derived or decoded once and shared
+    read-only.
 
     {!match_batch} pushes every input of a batch into the queue, the
     workers drain it greedily, and the results are aggregated in
@@ -25,14 +28,14 @@
     - {e Deadlines.} [match_batch ?deadline] bounds the wall-clock
       time a batch may take, submission included; an expired deadline
       cancels the batch's unexecuted jobs and surfaces {!Timeout}.
-    - {e Retries.} A job that fails with a transient fault (by
-      default {!Mfsa_engine.Faulty.Transient_fault}) is retried up to
+    - {e Retries.} A job that fails with a transient fault
+      ({!Mfsa_engine.Faulty.Transient_fault}) is retried up to
       [retries] times with exponential backoff before the failure is
       reported to the submitter.
-    - {e Supervision.} A fault that poisons a replica (by default
-      {!Mfsa_engine.Faulty.Replica_poisoned}) triggers a respawn: the
-      worker recompiles a fresh engine from the model and carries on;
-      the job follows the retry policy.
+    - {e Supervision.} A fault that poisons a replica
+      ({!Mfsa_engine.Faulty.Replica_poisoned}) triggers a respawn: the
+      worker loads a fresh engine from the service's table bundle and
+      carries on; the job follows the retry policy.
     - {e Admission control.} A full submission queue can {!Block} the
       submitter (backpressure, the default), {!Reject} the batch, or
       shed the oldest queued job of another batch ({!Shed_oldest}).
@@ -119,50 +122,26 @@ val create :
   ?admission:admission ->
   ?retries:int ->
   ?backoff:float ->
-  ?is_transient:(exn -> bool) ->
-  ?is_poison:(exn -> bool) ->
   Mfsa_model.Mfsa.t ->
   t
-(** Compile [domains] replicas (default
+(** Derive the automaton's table bundle once
+    ({!Mfsa_engine.Imfant.tables}), load [domains] replicas (default
     {!Mfsa_engine.Pool.available_parallelism}) of the named engine
-    (default ["imfant"], any {!Mfsa_engine.Registry} name — including
-    [faulty{...}:<engine>] wrappers) and spawn one worker domain per
-    replica. [queue_capacity] (default [2 * domains]) bounds the
-    submission queue; [admission] (default {!Block}) picks the
-    full-queue policy.
+    from it (default ["imfant"], any {!Mfsa_engine.Registry} name —
+    including [faulty{...}:<engine>] wrappers) and spawn one worker
+    domain per replica. [queue_capacity] (default [2 * domains])
+    bounds the submission queue; [admission] (default {!Block}) picks
+    the full-queue policy.
 
     [retries] (default 0) is the number of {e extra} attempts a job
-    gets after a transient or poison fault; the [n]-th retry is
+    gets after a {!Mfsa_engine.Faulty.Transient_fault} or a
+    {!Mfsa_engine.Faulty.Replica_poisoned} fault; the [n]-th retry is
     preceded by a [backoff * 2^n] seconds sleep (default base 1 ms).
-    [is_transient] and [is_poison] classify exceptions (defaults:
-    {!Mfsa_engine.Faulty.Transient_fault} and
-    {!Mfsa_engine.Faulty.Replica_poisoned}); a poison fault always
-    respawns the replica, retried or not.
+    A poison fault always respawns the replica from the same bundle,
+    retried or not.
 
     @raise Invalid_argument on an unknown engine name, [domains < 1],
     [queue_capacity < 1], [retries < 0] or [backoff < 0]. *)
-
-val create_tables :
-  ?engine:string ->
-  ?domains:int ->
-  ?queue_capacity:int ->
-  ?admission:admission ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?is_transient:(exn -> bool) ->
-  ?is_poison:(exn -> bool) ->
-  Mfsa_engine.Tables.t ->
-  t
-(** {!create} from a persisted table bundle (one element of an
-    artifact load): every replica — initial and respawned — adopts the
-    shared read-only bundle through the engine's
-    {!Mfsa_engine.Engine_sig.S.of_tables} capability in O(1), so a
-    service comes up (and supervises poisoned replicas) without ever
-    re-running the compile pipeline. Per-replica mutable scratch stays
-    private; sharing the bundle across domains is safe.
-
-    @raise Invalid_argument additionally when the engine has no table
-    loader (the message lists the capable engines). *)
 
 val create_source :
   ?engine:string ->
@@ -171,23 +150,19 @@ val create_source :
   ?admission:admission ->
   ?retries:int ->
   ?backoff:float ->
-  ?is_transient:(exn -> bool) ->
-  ?is_poison:(exn -> bool) ->
   Mfsa_engine.Source.t ->
   t
 (** {!create} from a unified {!Mfsa_engine.Source}: rules compile
-    through the pipeline; a binary artifact loads once and every
-    replica (initial and respawned) adopts the shared read-only table
-    bundle through the engine's
-    {!Mfsa_engine.Engine_sig.S.of_tables} capability — per-replica
-    mutable scratch stays private, so the sharing is safe. The source
-    must yield exactly one automaton.
+    through the pipeline, a binary artifact loads once, and every
+    replica (initial and respawned) is loaded from the one resulting
+    table bundle, shared read-only — per-replica mutable scratch stays
+    private, so the sharing is safe. The source must yield exactly
+    one automaton.
 
     @raise Invalid_argument additionally when the source yields zero
-    or several automata, or when the engine cannot load artifacts and
-    the source is one. Source-level failures propagate as their typed
-    exceptions ({!Mfsa_core.Pipeline.Compile_error}, the artifact
-    library's error, [Source.Error]). *)
+    or several automata. Source-level failures propagate as their
+    typed exceptions ({!Mfsa_core.Pipeline.Compile_error}, the
+    artifact library's error, [Source.Error]). *)
 
 val engine : t -> string
 

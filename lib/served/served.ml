@@ -197,21 +197,9 @@ let create_live config live =
               in
               Ok t
 
-(* Both constructors funnel through Live + [create_live]: [create]
-   compiles an initial ruleset, [create_source] accepts the unified
-   source (rules, automata, or a persisted artifact the live layer
-   adopts without recompiling). *)
-let create ?(config = default_config) rules =
-  match validate config with
-  | Some msg -> Result.Error ("mfsa-served: " ^ msg)
-  | None -> (
-      match Live.of_rules ~engine:config.engine rules with
-      | Result.Error e ->
-          Result.Error
-            (Printf.sprintf "cannot compile initial ruleset: %s"
-               (Pipeline.error_to_string e))
-      | Ok live -> create_live config live)
-
+(* The one constructor funnels through Live + [create_live]: a rules
+   source compiles the initial ruleset, an automaton or artifact
+   source is adopted without recompiling. *)
 let create_source ?(config = default_config) source =
   match validate config with
   | Some msg -> Result.Error ("mfsa-served: " ^ msg)

@@ -64,23 +64,18 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> string array -> (t, string) result
-(** [create rules] compiles the initial ruleset (rule [i] gets stable
-    id [i]), spins up the generation-0 pool and binds the listening
-    socket — but accepts nothing until {!serve}. [Error] on an
-    unknown engine, a malformed rule, invalid knobs, or a bind
-    failure. *)
-
 val create_source :
   ?config:config -> Mfsa_engine.Source.t -> (t, string) result
-(** {!create} from a unified {!Mfsa_engine.Source}: a rules source is
-    exactly [create]; a binary-artifact source is adopted through
-    {!Mfsa_live.Live.of_source}, so the daemon's first generation
-    comes up in O(artifact size) without recompiling — the fast
-    cold-start path. [Error] additionally covers an engine without a
-    table loader handed an artifact, and a source yielding more than
-    one automaton; artifact/IO failures propagate as their typed
-    exceptions. *)
+(** Build the daemon from a unified {!Mfsa_engine.Source} through
+    {!Mfsa_live.Live.of_source}, spin up the generation-0 pool and
+    bind the listening socket — but accept nothing until {!serve}. A
+    rules source compiles the initial ruleset (rule [i] gets stable
+    id [i]); an automaton or binary-artifact source is adopted, so
+    the daemon's first generation comes up in O(artifact size)
+    without recompiling — the fast cold-start path. [Error] on an
+    unknown engine, a malformed rule, invalid knobs, a source
+    yielding more than one automaton, or a bind failure;
+    artifact/IO failures propagate as their typed exceptions. *)
 
 val port : t -> int
 (** The bound TCP port (the actual one when [config.port] was 0). *)

@@ -304,7 +304,7 @@ fi
 echo "metrics exposition OK ($prom_n sample lines, $json_n series)"
 
 echo "== artifact persistence (persist gate) =="
-# Compile → save → reload per dataset: every table-capable engine's
+# Compile → save → reload per dataset: every registered engine's
 # match counts from the reloaded tables must equal the ones from the
 # fresh compile (the experiment marks mismatches DIVERGED and exits
 # non-zero), and reloading must never be slower than recompiling.
@@ -326,16 +326,24 @@ awk -F'"load_speedup": ' '
   END { if (rows == 0) { print "ci: BENCH_persist.json has no rows"; bad = 1 }
         exit bad }' BENCH_persist.json
 # Fresh-process reload: an artifact written by one process must give a
-# separately started matcher byte-identical per-rule counts.
+# separately started matcher byte-identical per-rule counts, under
+# every engine `-e help` lists and the fault-injection wrapper.
 match=_build/default/bin/mfsa_match.exe
 _build/default/bin/mfsa_compile.exe --emit "$tmp/ci.mfsa" "$tmp/rules.txt"
-"$match" --rules "$tmp/rules.txt" "$tmp/stream.bin" | grep '^rule' > "$tmp/counts.compile"
-"$match" --load "$tmp/ci.mfsa" "$tmp/stream.bin" | grep '^rule' > "$tmp/counts.reload"
-if ! cmp -s "$tmp/counts.compile" "$tmp/counts.reload"; then
-  echo "ci: fresh-process artifact reload changed per-rule counts" >&2
-  diff "$tmp/counts.compile" "$tmp/counts.reload" >&2 || true
+engines=$("$match" -e help | awk '$1 !~ /[{]/ { print $1 }')
+if [ -z "$engines" ]; then
+  echo "ci: mfsa-match -e help listed no engines" >&2
   exit 1
 fi
+for eng in $engines 'faulty{seed=1}:imfant'; do
+  "$match" -e "$eng" --rules "$tmp/rules.txt" "$tmp/stream.bin" | grep '^rule' > "$tmp/counts.compile"
+  "$match" -e "$eng" --load "$tmp/ci.mfsa" "$tmp/stream.bin" | grep '^rule' > "$tmp/counts.reload"
+  if ! cmp -s "$tmp/counts.compile" "$tmp/counts.reload"; then
+    echo "ci: fresh-process artifact reload changed per-rule counts ($eng)" >&2
+    diff "$tmp/counts.compile" "$tmp/counts.reload" >&2 || true
+    exit 1
+  fi
+done
 echo "persist gate OK (reload = compile, load_speedup >= 1 on all rows)"
 
 echo "== served soak (daemon + loadgen, fault-injected) =="

@@ -2,8 +2,8 @@
    handling and the committed-fixture compatibility gate.
 
    The load path must be behaviourally indistinguishable from a fresh
-   compile — same match counts from every table-capable engine on any
-   input — while a damaged file of any kind (truncated, bit-flipped,
+   compile — same match counts from every engine on any input — while
+   a damaged file of any kind (truncated, bit-flipped,
    future-versioned, not an artifact at all) must surface as a typed
    [Artifact.Error], never an escape of some internal exception. *)
 
@@ -25,11 +25,6 @@ let compile patterns = (Pipeline.compile_exn patterns).Pipeline.mfsas
 let artifact patterns = Artifact.to_string (Artifact.export (compile patterns))
 let counts engines input = List.map (fun e -> Engine_sig.count e input) engines
 
-let contains s needle =
-  let n = String.length s and k = String.length needle in
-  let rec scan i = i + k <= n && (String.sub s i k = needle || scan (i + 1)) in
-  scan 0
-
 let has_section info tag =
   List.exists
     (fun si -> String.starts_with ~prefix:tag si.Artifact.si_name)
@@ -37,18 +32,33 @@ let has_section info tag =
 
 (* ------------------------------------------------------ round trips *)
 
+(* Every engine is built from a table bundle, so every registered name
+   and both wrappers run an artifact as they run its rules: the same
+   events and the same per-FSA counts. *)
 let test_round_trip_counts () =
-  let mfsas = compile rules in
-  let art = Artifact.to_string (Artifact.export mfsas) in
-  let loaded = Artifact.of_string art in
+  let art = artifact rules in
+  let build engine source = Result.get_ok (Registry.compile engine source) in
+  let events e =
+    List.map
+      (fun ev -> (ev.Engine_sig.fsa, ev.Engine_sig.end_pos))
+      (Engine_sig.run e stream)
+  in
   List.iter
     (fun engine ->
-      let direct = List.map (Registry.compile_automaton_exn engine) mfsas in
-      let reloaded = List.map (Registry.compile_tables_exn engine) loaded in
-      Alcotest.(check (list int))
-        (engine ^ ": reload = compile")
-        (counts direct stream) (counts reloaded stream))
-    (Registry.table_capable_names ())
+      let direct = build engine (Source.Rules rules) in
+      let loaded = build engine (Source.Artifact_bytes art) in
+      Alcotest.(check (list (list (pair int int))))
+        (engine ^ ": artifact events = rules events")
+        (List.map events direct) (List.map events loaded);
+      Alcotest.(check (list (array int)))
+        (engine ^ ": artifact per-FSA counts = rules counts")
+        (List.map (fun e -> Engine_sig.count_per_fsa e stream) direct)
+        (List.map (fun e -> Engine_sig.count_per_fsa e stream) loaded))
+    (Registry.names ()
+    @ [
+        "faulty{seed=1,fail_every=0}:imfant";
+        "sfa{domains=2,threshold=1}:hybrid";
+      ])
 
 let test_round_trip_structure () =
   let mfsas = compile rules in
@@ -165,33 +175,10 @@ let test_io_error () =
   | exception Artifact.Error (Artifact.Io _) -> ()
   | exception e -> Alcotest.failf "wanted Io, got %s" (Printexc.to_string e)
 
-(* ------------------------------------------------------- capability *)
-
-let test_capability_gate () =
-  let art = artifact rules in
-  List.iter
-    (fun engine ->
-      let can = Registry.can_load_tables engine in
-      match Registry.compile engine (Source.Artifact_bytes art) with
-      | Ok engines ->
-          Alcotest.(check bool)
-            (engine ^ " loaded without claiming the capability")
-            true can;
-          Alcotest.(check bool) (engine ^ " produced engines") true
-            (engines <> [])
-      | Error msg ->
-          Alcotest.(check bool) (engine ^ " rejected despite capability") false
-            can;
-          Alcotest.(check bool)
-            (engine ^ " error names the fix")
-            true
-            (contains msg "recompile from rules"))
-    [ "imfant"; "hybrid"; "auto"; "faulty{seed=1}:imfant" ]
-
 (* ---------------------------------------------------------- fixture *)
 
 (* Both fixtures hold the three-rule CLI-walkthrough ruleset. Every
-   table-capable engine must adopt a fixture with the per-rule counts
+   engine must adopt a fixture with the per-rule counts
    of a fresh compile of those rules. *)
 let fixture_rules = [| "hello world"; "hello there"; "he(l|n)p" |]
 
@@ -205,7 +192,7 @@ let check_fixture_counts loaded =
         (engine ^ ": per-rule counts = fresh compile")
         (List.map (fun e -> Engine_sig.count_per_fsa e stream) direct)
         (List.map (fun e -> Engine_sig.count_per_fsa e stream) reloaded))
-    (Registry.table_capable_names ())
+    (Registry.names ())
 
 (* test/fixtures/artifact_v1.mfsa is a committed version-1 artifact,
    written when META's reserved byte still carried a hybrid stride of
@@ -226,9 +213,9 @@ let test_fixture_loads () =
    same three rules, written with the literal prefilter switched off and
    a hybrid cache size of 16 stored in META — knobs that no longer
    exist. It carries no PFX section, its stored cache size is ignored,
-   and so is its INI section. It must load under every table-capable
-   engine with the per-rule counts of a fresh compile, and [auto] must
-   plan the hybrid from it, as it does from the rules. *)
+   and so is its INI section. It must load under every engine with
+   the per-rule counts of a fresh compile, and [auto] must plan the
+   hybrid from it, as it does from the rules. *)
 let tuned_fixture_path = "fixtures/artifact_v2_tuned.mfsa"
 
 let test_tuned_fixture_loads () =
@@ -270,7 +257,7 @@ let prop_round_trip =
           let direct = [ Registry.compile_automaton_exn engine z ] in
           let reloaded = List.map (Registry.compile_tables_exn engine) loaded in
           counts direct input = counts reloaded input)
-        (Registry.table_capable_names ()))
+        (Registry.names ()))
 
 let prop_corrupt_byte_is_typed =
   let base = artifact [| "abc"; "ab[cd]" |] in
@@ -304,8 +291,6 @@ let () =
           Alcotest.test_case "checksum" `Quick test_checksum;
           Alcotest.test_case "io error" `Quick test_io_error;
         ] );
-      ( "capability",
-        [ Alcotest.test_case "engine gate" `Quick test_capability_gate ] );
       ( "fixture",
         [
           Alcotest.test_case "version 1 loads" `Quick test_fixture_loads;

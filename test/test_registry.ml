@@ -9,6 +9,7 @@ module Im = Mfsa_engine.Imfant
 module Engine_sig = Mfsa_engine.Engine_sig
 module Registry = Mfsa_engine.Registry
 module Tables = Mfsa_engine.Tables
+module Source = Mfsa_engine.Source
 module Gen = QCheck2.Gen
 
 let check = Alcotest.check
@@ -73,7 +74,7 @@ let test_exact_builtins () =
   let z = merge_rules [ "a" ] in
   List.iter
     (fun name ->
-      match Registry.compile_automaton name z with
+      match Registry.compile name (Source.Automata [ z ]) with
       | Error msg ->
           check Alcotest.string
             (name ^ " is an unknown engine")
@@ -87,7 +88,7 @@ let test_unknown () =
   | exception Invalid_argument msg ->
       check Alcotest.bool "message names the engine" true (contains msg "warp")
   | _ -> Alcotest.fail "find_exn accepted an unknown name");
-  (match Registry.compile_automaton "warp" (merge_rules [ "a" ]) with
+  (match Registry.compile "warp" (Source.Automata [ merge_rules [ "a" ] ]) with
   | Error msg ->
       check Alcotest.string "shared message" (Registry.unknown_message "warp")
         msg
@@ -107,9 +108,7 @@ module Null_engine : Engine_sig.S = struct
 
   type compiled = Mfsa.t
 
-  let compile z = z
-  let of_tables = Some (fun (tb : Tables.t) -> tb.Tables.z)
-  let to_tables _ = None
+  let of_tables (tb : Tables.t) = tb.Tables.z
   let mfsa z = z
   let run _ _ = []
   let count _ _ = 0
@@ -182,7 +181,7 @@ let test_faulty_malformed () =
   let z = merge_rules [ "a" ] in
   List.iter
     (fun (spec, fragment) ->
-      match Registry.compile_automaton spec z with
+      match Registry.compile spec (Source.Automata [ z ]) with
       | Ok _ -> Alcotest.failf "malformed spec %S accepted" spec
       | Error msg ->
           if not (contains msg fragment) then

@@ -283,10 +283,8 @@ module Failing_engine : Engine_sig.S = struct
 
   type compiled = Im.t
 
-  let compile = Im.compile
+  let of_tables = Im.of_tables
   let mfsa = Im.mfsa
-  let of_tables = None
-  let to_tables _ = None
 
   let run c input =
     if String.contains input 'X' then raise (Boom input) else Im.run c input
@@ -370,25 +368,44 @@ let expected_pairs z inputs =
    fail_every=2 and poison_every=5 the attempt trace is forced —
    attempts 2 and 4 fail transiently, attempt 5 poisons the replica
    (respawned with a fresh schedule), and the cycle repeats. Six
-   inputs therefore need exactly 7 retries and 2 restarts, and the
-   results must still be byte-identical to clean sequential
-   execution. *)
+   inputs therefore need exactly 7 retries and 2 restarts. With
+   poison_every=2 every second attempt of a replica poisons it, so
+   inputs 2–6 each cost one retry and one restart. Either way the
+   results must be byte-identical to clean sequential execution. The
+   artifact-loaded service respawns from the bundle it loaded, so its
+   respawned replicas agree too. *)
 let test_retries_and_restarts_deterministic () =
   let z = merge_rules rules in
-  let srv =
-    Serve.create ~engine:"faulty{seed=1,fail_every=2,poison_every=5}:imfant"
-      ~domains:1 ~retries:4 ~backoff:0.0001 z
+  let art =
+    Mfsa_artifact.Artifact.to_string (Mfsa_artifact.Artifact.export [ z ])
   in
-  let got = Array.map pairs (Serve.match_batch srv inputs) in
-  let s = Serve.stats srv in
-  Serve.shutdown srv;
-  check
-    Alcotest.(array (list (pair int int)))
-    "fault-injected serving = clean sequential" (expected_pairs z inputs) got;
-  check Alcotest.int "retries" 7 s.Serve.retries;
-  check Alcotest.int "replica restarts" 2 s.Serve.restarts;
-  check Alcotest.int "no timeouts" 0 s.Serve.timeouts;
-  check Alcotest.int "no rejections" 0 s.Serve.rejected
+  List.iter
+    (fun (what, srv, retries, restarts) ->
+      let got = Array.map pairs (Serve.match_batch srv inputs) in
+      let s = Serve.stats srv in
+      Serve.shutdown srv;
+      check
+        Alcotest.(array (list (pair int int)))
+        (what ^ ": fault-injected serving = clean sequential")
+        (expected_pairs z inputs) got;
+      check Alcotest.int (what ^ ": retries") retries s.Serve.retries;
+      check Alcotest.int (what ^ ": replica restarts") restarts
+        s.Serve.restarts;
+      check Alcotest.int (what ^ ": no timeouts") 0 s.Serve.timeouts;
+      check Alcotest.int (what ^ ": no rejections") 0 s.Serve.rejected)
+    [
+      ( "automaton",
+        Serve.create ~engine:"faulty{seed=1,fail_every=2,poison_every=5}:imfant"
+          ~domains:1 ~retries:4 ~backoff:0.0001 z,
+        7,
+        2 );
+      ( "artifact",
+        Serve.create_source ~engine:"faulty{seed=1,poison_every=2}:imfant"
+          ~domains:1 ~retries:4 ~backoff:0.0001
+          (Mfsa_engine.Source.Artifact_bytes art),
+        5,
+        5 );
+    ]
 
 (* A replica-poisoning fault with retries exhausted must still leave
    the pool healthy: the job fails, but the worker respawned its
@@ -407,7 +424,7 @@ let test_poison_without_retries_respawns () =
   check Alcotest.int "no retry budget, none spent" 0 s.Serve.retries;
   (* The fresh replica restarts the fault schedule, so with
      poison_every=1 the next job poisons again — proof the respawn
-     compiled a genuinely fresh engine (the sticky poison flag of the
+     loaded a genuinely fresh engine (the sticky poison flag of the
      old replica would raise from attempt 0 *without* advancing the
      schedule). *)
   (match Serve.match_batch srv [| "hello" |] with

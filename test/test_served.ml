@@ -9,6 +9,7 @@ module Served = Mfsa_served.Served
 module Client = Mfsa_served.Client
 module Live = Mfsa_live.Live
 module Serve = Mfsa_serve.Serve
+module Source = Mfsa_engine.Source
 
 let check = Alcotest.check
 
@@ -163,7 +164,7 @@ let rules = [| "abc"; "a.c"; "q+" |]
 let host = "127.0.0.1"
 
 let with_server ?config rules f =
-  let t = Result.get_ok (Served.create ?config rules) in
+  let t = Result.get_ok (Served.create_source ?config (Source.Rules rules)) in
   let th = Thread.create Served.serve t in
   Fun.protect
     ~finally:(fun () ->
@@ -348,7 +349,7 @@ let test_metrics_exposition () =
         (String.length json > 0 && json.[0] = '['))
 
 let test_remote_shutdown_drains () =
-  let t = Result.get_ok (Served.create rules) in
+  let t = Result.get_ok (Served.create_source (Source.Rules rules)) in
   let served = Thread.create Served.serve t in
   let c = Result.get_ok (Client.connect ~host ~port:(Served.port t) ()) in
   Result.get_ok (Client.shutdown c);

@@ -234,20 +234,17 @@ let test_registry_integration () =
     (Registry.underlying "sfa{domains=2}:imfant");
   check Alcotest.string "underlying strips stacked wrappers" "hybrid"
     (Registry.underlying "sfa:faulty{seed=1}:hybrid");
-  (match Registry.compile_automaton "sfa:auto" z with
+  match Registry.compile "sfa:auto" (Mfsa_engine.Source.Automata [ z ]) with
   | Error msg ->
       check Alcotest.bool "inner restriction named" true
         (contains msg "imfant")
-  | Ok _ -> Alcotest.fail "sfa:auto must not compile");
-  check Alcotest.bool "table capable" true
-    (Registry.can_load_tables "sfa{domains=2,threshold=1}:imfant")
+  | Ok _ -> Alcotest.fail "sfa:auto must not compile"
 
 let test_tables_round_trip () =
   let z = merge_rules [ "ab"; "a(b|c)*d"; "ab$" ] in
   let im = Im.compile z in
-  let sf = Sfa.compile (spec ~domains:3 ()) ~inner:"imfant" z in
-  let loaded = Sfa.of_tables (spec ~domains:3 ()) ~inner:"hybrid"
-      (Sfa.export_tables sf)
+  let loaded =
+    Sfa.of_tables (spec ~domains:3 ()) ~inner:"hybrid" (Im.tables z)
   in
   let input = "abcbcdababdxabcd" in
   check
